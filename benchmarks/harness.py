@@ -22,7 +22,7 @@ from repro.exec import ArtifactCache, RunConfig
 from repro.exec.engine import load_or_prepare, run_prepared_scheme
 from repro.machine import two_cluster_machine
 from repro.pipeline import PreparedProgram
-from repro.pipeline.schemes import SchemeOutcome
+from repro.resilience import ResilientOutcome
 
 #: The benchmark set used for the full-suite figures (Figs. 2, 7, 8, 10).
 FULL_SUITE: Tuple[str, ...] = tuple(bench_names())
@@ -59,7 +59,7 @@ def prepared(name: str, pointsto_tier: str = "andersen") -> PreparedProgram:
 @lru_cache(maxsize=None)
 def outcome(
     name: str, scheme: str, latency: int, pointsto_tier: str = "andersen"
-) -> SchemeOutcome:
+) -> ResilientOutcome:
     machine = two_cluster_machine(move_latency=latency)
     config = BENCH_CONFIG.replace(
         scheme=scheme, latency=latency, pointsto_tier=pointsto_tier
@@ -73,19 +73,20 @@ def outcome(
 
 @lru_cache(maxsize=None)
 def resilient(name: str, scheme: str, latency: int):
-    """Scheme outcome via :class:`repro.resilience.ResilientPipeline` —
-    use when a bench needs the :class:`RunReport` per-phase wall clocks
-    (e.g. Section 4.5 compile-time numbers) rather than just the result.
-    Deliberately never served from the artifact cache: a rehydrated
-    outcome has no fresh phase timings."""
-    from repro.resilience import ResilientPipeline
-
+    """Scheme outcome with a fresh :class:`RunReport` — use when a bench
+    needs its per-phase wall clocks (e.g. Section 4.5 compile-time
+    numbers) rather than just the result.  Deliberately never served
+    from the artifact cache: a rehydrated outcome has no fresh phase
+    timings."""
     machine = two_cluster_machine(move_latency=latency)
-    pipe = ResilientPipeline.from_config(
-        RunConfig(retries=0, fallback=False, validate=False, cache="off"),
-        machine=machine,
+    config = RunConfig(
+        scheme=scheme, latency=latency, retries=0, fallback=False,
+        cache="off",
     )
-    return pipe.run(prepared(name), scheme)
+    result, _status = run_prepared_scheme(
+        prepared(name), machine, config, scheme
+    )
+    return result
 
 
 #: In-process memo tables; cleared by :func:`clear_caches` (wired into

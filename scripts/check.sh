@@ -4,7 +4,8 @@
 #   tools       ruff + mypy over the tree (strict on src/repro/lint/,
 #               lenient elsewhere — see pyproject.toml); each is skipped
 #               with a notice when the tool is not installed.
-#   examples    `repro lint` over every example program: zero errors.
+#   examples    `repro lint` over every example program (zero errors),
+#               then run every example script (exit 0).
 #   benches     `repro lint` over every bundled benchmark: zero errors.
 #   faults      fault-injection smoke (one spec per fault class) through
 #               the resilient pipeline's degradation ladder.
@@ -71,6 +72,15 @@ stage_examples() {
                 note "FAIL: $example"
                 failures=$((failures + 1))
             fi
+        fi
+    done
+    note "run every example script"
+    for example in examples/*.py; do
+        if python "$example" >/dev/null; then
+            note "ok: $example"
+        else
+            note "FAIL: $example"
+            failures=$((failures + 1))
         fi
     done
 }

@@ -8,14 +8,18 @@ paper's Global Data Partitioning algorithm with its evaluation baselines.
 
 Typical use::
 
-    from repro import compile_source
-    from repro.machine import two_cluster_machine
+    from repro import RunConfig
     from repro.pipeline import Pipeline
 
-    module = compile_source(MINIC_SOURCE)
-    machine = two_cluster_machine(move_latency=5)
-    result = Pipeline(machine).run(module, scheme="gdp")
-    print(result.cycles)
+    SOURCE = (
+        "int a[16]; int main() { int s = 0;"
+        " for (int i = 0; i < 16; i = i + 1) { a[i] = i * 3; s = s + a[i]; }"
+        " print_int(s); return 0; }"
+    )
+    pipe = Pipeline(config=RunConfig(latency=5, cache="off"))
+    prepared = pipe.prepare(SOURCE, "demo")
+    result = pipe.run(prepared, "gdp")
+    print(result.scheme, result.cycles)
 """
 
 __version__ = "1.0.0"

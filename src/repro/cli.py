@@ -157,23 +157,20 @@ def _config_from_args(args, **overrides) -> RunConfig:
         retries=retries if retries is not None else 1,
         fallback=bool(getattr(args, "fallback", False)),
         fault_spec=getattr(args, "fault_spec", None),
-        validate=bool(getattr(args, "verify_partition", False)),
+        # Any resilience flag asks for the ladder's validity check too.
+        validate=any((
+            getattr(args, "verify_partition", False),
+            getattr(args, "max_seconds", None) is not None,
+            retries is not None,
+            getattr(args, "fallback", False),
+            getattr(args, "fault_spec", None),
+        )),
         jobs=getattr(args, "jobs", None),
         cache=getattr(args, "cache", "off"),
         cache_dir=getattr(args, "cache_dir", None),
     )
     kwargs.update(overrides)
     return RunConfig(**kwargs)
-
-
-def _wants_resilience(args) -> bool:
-    return any((
-        args.max_seconds is not None,
-        args.retries is not None,
-        args.fallback,
-        args.run_report,
-        args.fault_spec,
-    ))
 
 
 def _save_run_report(args, report) -> None:
@@ -217,58 +214,8 @@ def _run(args) -> int:
     return EXIT_OK
 
 
-def _prepared_from_config(args, config: RunConfig) -> PreparedProgram:
-    """Prepare via the artifact cache when the config enables it."""
-    source = _read_source(args.file)
-    if config.cache_enabled:
-        from .exec.engine import load_or_prepare
-
-        prepared, _ir_hash, _status = load_or_prepare(
-            source, args.name, config
-        )
-        return prepared
-    return PreparedProgram.from_source(source, args.name, config=config)
-
-
 def _print_precision(prepared: PreparedProgram) -> None:
     print(f"pointsto: {prepared.pointsto.stats().describe()}")
-
-
-def _partition(args) -> int:
-    config = _config_from_args(args)
-    if _wants_resilience(args):
-        return _partition_resilient(args, config)
-    prepared = _prepared_from_config(args, config)
-    pipe = Pipeline.from_config(config)
-    try:
-        if config.cacheable_results:
-            from .exec.engine import run_prepared_scheme
-
-            outcome, _status = run_prepared_scheme(
-                prepared, pipe.machine, config, args.scheme
-            )
-        else:
-            outcome = pipe.run(prepared, args.scheme)
-    except _partition_validity_error() as exc:
-        print(exc)
-        return EXIT_HARD_FAILURE
-    print(f"scheme:  {args.scheme}")
-    _print_precision(prepared)
-    print(f"cycles:  {outcome.cycles:.0f}")
-    print(f"dynamic intercluster moves: {outcome.dynamic_moves:.0f}")
-    _print_roofline(outcome.roofline)
-    if outcome.object_home:
-        print("object placement:")
-        for obj, cluster in sorted(outcome.object_home.items()):
-            size = prepared.objects[obj].size
-            print(f"  cluster {cluster}: {obj} ({size} bytes)")
-    return EXIT_OK
-
-
-def _partition_validity_error():
-    from .lint import PartitionValidityError
-
-    return PartitionValidityError
 
 
 def _print_roofline(roofline) -> None:
@@ -282,46 +229,43 @@ def _print_roofline(roofline) -> None:
     )
 
 
-def _partition_resilient(args, config: RunConfig) -> int:
-    from .resilience import LadderExhausted, ResilientPipeline
-    from .profiler import InterpreterError
-
-    pipe = ResilientPipeline.from_config(config.replace(validate=True))
-    try:
-        prepared, report = pipe.prepare(_read_source(args.file), args.name)
-    except InterpreterError as exc:
-        print(f"profiling failed beyond recovery: {exc}")
-        return EXIT_HARD_FAILURE
-    profile_degraded = (
-        config.profile == "dynamic" and prepared.profile.is_static()
-    )
-    try:
-        result = pipe.run(prepared, args.scheme, report=report)
-    except LadderExhausted as exc:
-        print(exc)
-        if exc.run_report is not None:
-            _save_run_report(args, exc.run_report)
-        return EXIT_HARD_FAILURE
-    result.report.record_pointsto(
+def _prepare(args):
+    """(pipeline, prepared, profile degraded?) for a file argument: the
+    profiler rung of the ladder, through the artifact cache."""
+    config = _config_from_args(args)
+    pipe = Pipeline(config=config)
+    prepared = pipe.prepare(_read_source(args.file), args.name)
+    pipe.ladder.report.record_pointsto(
         prepared.pointsto_tier, prepared.pointsto.stats().to_dict()
     )
-    scheme = result.scheme
-    roofline = getattr(result, "roofline", None)
-    if roofline:
-        result.report.record_roofline(scheme, roofline)
+    degraded = config.profile == "dynamic" and prepared.profile.is_static()
+    return pipe, prepared, degraded
+
+
+def _partition(args) -> int:
+    from .resilience import LadderExhausted
+
+    pipe, prepared, profile_degraded = _prepare(args)
+    report = pipe.ladder.report
+    try:
+        result = pipe.run(prepared, args.scheme)
+    except LadderExhausted as exc:
+        print(exc)
+        _save_run_report(args, report)
+        return EXIT_HARD_FAILURE
     if result.fell_back:
-        print(f"scheme:  {scheme} (fallback from {result.requested})")
+        print(f"scheme:  {result.scheme} (fallback from {result.requested})")
     else:
-        print(f"scheme:  {scheme}")
+        print(f"scheme:  {result.scheme}")
     if profile_degraded:
         print("profile: static (fallback from dynamic)")
     else:
-        print(f"profile: {config.profile}")
+        print(f"profile: {pipe.config.profile}")
     _print_precision(prepared)
     print(f"cycles:  {result.cycles:.0f}")
     print(f"dynamic intercluster moves: {result.dynamic_moves:.0f}")
-    _print_roofline(roofline)
-    summary = result.report.to_dict()["summary"]
+    _print_roofline(result.roofline)
+    summary = report.to_dict()["summary"]
     print(f"attempts: {summary['attempts']}  faults: {summary['faults']}  "
           f"fallbacks: {summary['fallbacks']}")
     if result.object_home:
@@ -329,44 +273,28 @@ def _partition_resilient(args, config: RunConfig) -> int:
         for obj, cluster in sorted(result.object_home.items()):
             size = prepared.objects[obj].size
             print(f"  cluster {cluster}: {obj} ({size} bytes)")
-    _save_run_report(args, result.report)
+    _save_run_report(args, report)
     return EXIT_DEGRADED if result.fell_back or profile_degraded else EXIT_OK
 
 
-def _compare_resilient(args, config: RunConfig) -> int:
-    from .resilience import LadderExhausted, ResilientPipeline
-    from .profiler import InterpreterError
+def _compare(args) -> int:
+    from .resilience import LadderExhausted
 
-    pipe = ResilientPipeline.from_config(config.replace(validate=True))
+    pipe, prepared, degraded = _prepare(args)
     try:
-        prepared, report = pipe.prepare(_read_source(args.file), args.name)
-    except InterpreterError as exc:
-        print(f"profiling failed beyond recovery: {exc}")
-        return EXIT_HARD_FAILURE
-    profile_degraded = (
-        config.profile == "dynamic" and prepared.profile.is_static()
-    )
-    report.record_pointsto(
-        prepared.pointsto_tier, prepared.pointsto.stats().to_dict()
-    )
-    try:
-        outcomes = pipe.run_all(prepared, report=report)
+        outcomes = pipe.run_all(prepared)
     except LadderExhausted as exc:
         print(exc)
-        _save_run_report(args, report)
+        _save_run_report(args, pipe.ladder.report)
         return EXIT_HARD_FAILURE
     base = outcomes["unified"].cycles
     rows = []
-    degraded = profile_degraded
     for name in ("unified", "gdp", "profilemax", "naive"):
         out = outcomes[name]
         degraded = degraded or out.fell_back
-        ran_as = out.scheme if out.fell_back else ""
-        roofline = getattr(out, "roofline", None)
-        if roofline:
-            report.record_roofline(name, roofline)
+        roofline = out.roofline
         rows.append([
-            name, ran_as, f"{out.cycles:.0f}",
+            name, out.scheme if out.fell_back else "", f"{out.cycles:.0f}",
             f"{base / out.cycles:.3f}" if out.cycles else "-",
             f"{out.dynamic_moves:.0f}",
             f"{roofline['ratio']:.2f}" if roofline else "-",
@@ -376,36 +304,8 @@ def _compare_resilient(args, config: RunConfig) -> int:
         ["scheme", "ran as", "cycles", "vs unified", "dyn moves",
          "x-roofline"], rows
     ))
-    _save_run_report(args, report)
+    _save_run_report(args, pipe.ladder.report)
     return EXIT_DEGRADED if degraded else EXIT_OK
-
-
-def _compare(args) -> int:
-    config = _config_from_args(args)
-    if _wants_resilience(args):
-        return _compare_resilient(args, config)
-    prepared = _prepared_from_config(args, config)
-    pipe = Pipeline.from_config(config)
-    try:
-        outcomes = pipe.run_all(prepared)
-    except _partition_validity_error() as exc:
-        print(exc)
-        return EXIT_HARD_FAILURE
-    base = outcomes["unified"].cycles
-    rows = []
-    for name in ("unified", "gdp", "profilemax", "naive"):
-        out = outcomes[name]
-        rows.append([
-            name, f"{out.cycles:.0f}",
-            f"{base / out.cycles:.3f}" if out.cycles else "-",
-            f"{out.dynamic_moves:.0f}",
-            f"{out.roofline['ratio']:.2f}" if out.roofline else "-",
-        ])
-    _print_precision(prepared)
-    print(format_table(
-        ["scheme", "cycles", "vs unified", "dyn moves", "x-roofline"], rows
-    ))
-    return EXIT_OK
 
 
 def _resolve_lint_path(path: str) -> str:
@@ -466,12 +366,10 @@ def _lint(args) -> int:
         report.stats[tier] = {c: stats[c] for c in DETERMINISTIC_COLUMNS}
 
     if args.verify_partition:
-        prepared = PreparedProgram.from_source(
-            _read_source(_resolve_lint_path(args.file)), args.name,
-            config=config,
+        pipe = Pipeline(machine, config.replace(validate=False))
+        prepared = pipe.prepare(
+            _read_source(_resolve_lint_path(args.file)), args.name
         )
-        pipe = Pipeline.from_config(config.replace(validate=False),
-                                    machine=machine)
         outcome = pipe.run(prepared, args.scheme)
         report.extend(check_scheme_outcome(prepared, outcome))
         report.extend(check_region_outcome(prepared, outcome))
@@ -506,19 +404,9 @@ def _bench(args) -> int:
         ]
         print(format_table(["benchmark", "category", "description"], rows))
         return EXIT_OK
-    config = _config_from_args(args)
     bench = get_benchmark(args.name)
-    if config.cache_enabled:
-        from .exec.engine import load_or_prepare
-
-        prepared, _ir_hash, _status = load_or_prepare(
-            bench.source, bench.name, config
-        )
-    else:
-        prepared = PreparedProgram.from_source(
-            bench.source, bench.name, config=config
-        )
-    pipe = Pipeline.from_config(config)
+    pipe = Pipeline(config=_config_from_args(args))
+    prepared = pipe.prepare(bench.source, bench.name)
     rel = pipe.compare(prepared, schemes=("gdp", "profilemax", "naive"))
     rows = [[scheme, f"{value:.3f}"] for scheme, value in rel.items()]
     print(f"{bench.name} @ {args.latency}-cycle move latency "

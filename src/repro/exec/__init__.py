@@ -30,7 +30,6 @@ from .runconfig import (
     SCHEMES,
     RunConfig,
     RunConfigError,
-    warn_legacy_kwarg,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "lookup_cached_outcome",
     "run_cell",
     "run_prepared_scheme",
-    "warn_legacy_kwarg",
 ]

@@ -34,6 +34,7 @@ from ..ir import Module
 from ..ir.serialize import dumps, loads
 from ..profiler import ProfileData
 from .cache import content_sha
+from .runconfig import RunConfig
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +210,20 @@ def prepared_from_payload(payload: Dict[str, Any]):
     pointsto = CachedPointsTo(
         payload["pointsto_tier"], payload["pointsto_stats"]
     )
-    if payload.get("profile_mode", "dynamic") == "static":
+    config = RunConfig(
+        pointsto_tier=payload["pointsto_tier"],
+        profile=payload.get("profile_mode", "dynamic"),
+    )
+    if config.profile == "static":
         # Static profiles are pure functions of the annotated module, and
         # rebuilding them is cheap (no interpretation) — cheaper and more
         # robust than persisting the infinite-valued bound tables.
-        return PreparedProgram(
-            module, pointsto=pointsto, profile_mode="static",
-            pointsto_tier=payload["pointsto_tier"], _legacy_warn=False,
-        )
+        return PreparedProgram(module, config=config, pointsto=pointsto)
     profile = profile_from_payload(
         payload["profile"], uids_by_stable_key(module)
     )
     return PreparedProgram(
-        module, profile=profile, pointsto=pointsto,
-        pointsto_tier=payload["pointsto_tier"], _legacy_warn=False,
+        module, profile=profile, config=config, pointsto=pointsto
     )
 
 
@@ -249,8 +250,8 @@ def outcome_key_material(
         "seed": seed,
         # Payload schema revision: bumping it retires artifacts whose
         # payloads predate a field the engine now reads (v2 added the
-        # data-movement roofline summary).
-        "schema": 2,
+        # data-movement roofline summary, v3 the ``ran_as`` rung).
+        "schema": 3,
     }
 
 

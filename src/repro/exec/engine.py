@@ -43,8 +43,7 @@ _SCRUBBED = "-"
 
 
 # ---------------------------------------------------------------------------
-# In-process cache-aware building blocks (shared by workers, the bench
-# harness, and Pipeline.run_all)
+# The one cache-aware path: prepare, then run a scheme under the ladder
 # ---------------------------------------------------------------------------
 
 
@@ -66,9 +65,7 @@ def load_or_prepare(
     if not config.cache_enabled:
         prepared = PreparedProgram.from_source(source, name, config=config)
         return prepared, None, "off"
-    material = prepared_key_material(
-        source, name, config.pointsto_tier, profile=config.profile
-    )
+    material = _prepared_material(source, name, config)
     payload = cache.load("prepared", material)
     if payload is not None:
         return prepared_from_payload(payload), payload["ir_hash"], "hit"
@@ -78,6 +75,30 @@ def load_or_prepare(
     return prepared, payload["ir_hash"], "miss"
 
 
+def _prepared_material(source: str, name: str, config: RunConfig):
+    return prepared_key_material(
+        source, name, config.pointsto_tier, profile=config.profile
+    )
+
+
+def _outcome_material(ir_hash: str, machine, config: RunConfig, scheme: str):
+    return outcome_key_material(
+        ir_hash, machine, config.pointsto_tier, scheme, config.seed
+    )
+
+
+def _served_outcome(payload: Dict[str, Any], scheme: str, report):
+    """Record a cached outcome's story in ``report``: the cell ran as
+    ``payload["ran_as"]`` without a single attempt."""
+    ran_as = payload["ran_as"]
+    report.record_cache("outcome", "hit")
+    report.record_run(scheme, [scheme])
+    report.record_final(scheme, ran_as, "ok")
+    if payload["roofline"] is not None:
+        report.record_roofline(ran_as, payload["roofline"])
+    return ran_as
+
+
 def run_prepared_scheme(
     prepared,
     machine,
@@ -85,37 +106,72 @@ def run_prepared_scheme(
     scheme: str,
     cache: Optional[ArtifactCache] = None,
     ir_hash: Optional[str] = None,
-    validate: Optional[bool] = None,
+    ladder=None,
 ):
-    """One scheme over an in-memory prepared program, cache-aware.
+    """One scheme over a prepared program: the only scheme runner.
 
-    Returns ``(SchemeOutcome, cache_status)``.  Used by
-    :meth:`Pipeline.run_all` and the bench harness; the parallel workers
-    use the resilient variant in :func:`run_cell`.
+    A cacheable config is answered from the outcome artifact when one
+    exists; otherwise the scheme runs under the resilience ladder
+    (:meth:`ResilientPipeline.run`) and the outcome is stored together
+    with the rung it ran as.  Either way the result is a
+    :class:`~repro.resilience.ResilientOutcome` carrying that rung,
+    ``fell_back`` and the run report.  ``ladder`` is the
+    :class:`~repro.resilience.ResilientPipeline` whose budget, fault plan
+    and report the run shares (a fresh one from ``config`` by default).
+
+    Returns ``(outcome, cache status)``, the status one of ``hit`` /
+    ``miss`` / ``skip`` (cache on, result not cacheable) / ``off``.
+    Raises :class:`~repro.resilience.LadderExhausted` when every rung
+    failed.
     """
-    from ..pipeline.schemes import run_scheme
+    from ..resilience import ResilientOutcome, ResilientPipeline
 
-    validate = config.validate if validate is None else validate
-    cacheable = config.cacheable_results
-    cache = cache or ArtifactCache(config.cache_dir, config.cache)
+    ladder = ladder or ResilientPipeline(config, machine)
     material = None
-    if cacheable:
-        if ir_hash is None:
-            ir_hash = prepared.fingerprint()
-        material = outcome_key_material(
-            ir_hash, machine, config.pointsto_tier, scheme, config.seed
+    if config.cacheable_results:
+        cache = cache or ArtifactCache(config.cache_dir, config.cache)
+        material = _outcome_material(
+            ir_hash or prepared.fingerprint(), machine, config, scheme
         )
         payload = cache.load("outcome", material)
         if payload is not None:
-            return outcome_from_payload(payload, machine), "hit"
-    outcome = run_scheme(
-        prepared, machine, scheme,
-        validate=validate, seed_offset=config.seed,
+            ran_as = _served_outcome(payload, scheme, ladder.report)
+            outcome = outcome_from_payload(payload, machine)
+            return ResilientOutcome(outcome, ran_as, scheme, ladder.report), "hit"
+    result = ladder.run(prepared, scheme)
+    if material is not None:
+        payload = outcome_to_payload(result.outcome)
+        payload["ran_as"] = result.scheme
+        cache.store("outcome", material, payload)
+        ladder.report.record_cache("outcome", "miss")
+        status = "miss"
+    else:
+        status = "skip" if config.cache_enabled else "off"
+    if result.roofline is not None:
+        ladder.report.record_roofline(result.scheme, result.roofline)
+    return result, status
+
+
+def _warm_probe(
+    source: str, name: str, config: RunConfig, cache: ArtifactCache
+) -> Tuple[Optional[Dict[str, Any]], Optional[Dict[str, Any]]]:
+    """(prepared payload, outcome payload) already on disk for one cell.
+
+    Loads the prepared artifact, and — when results are cacheable — the
+    outcome artifact keyed by the prepared one's IR hash.  Either is
+    None when absent; nothing is computed, nothing is stored.
+    """
+    if not config.cache_enabled:
+        return None, None
+    prepared = cache.load("prepared", _prepared_material(source, name, config))
+    if prepared is None or not config.cacheable_results:
+        return prepared, None
+    return prepared, cache.load(
+        "outcome",
+        _outcome_material(
+            prepared["ir_hash"], config.build_machine(), config, config.scheme
+        ),
     )
-    if cacheable and material is not None:
-        cache.store("outcome", material, outcome_to_payload(outcome))
-        return outcome, "miss"
-    return outcome, "skip"
 
 
 def lookup_cached_outcome(
@@ -133,24 +189,10 @@ def lookup_cached_outcome(
     instance's hit/miss telemetry should pass their own (e.g. readonly)
     handle.
     """
-    if not (config.cache_enabled and config.cacheable_results):
+    if not config.cacheable_results:
         return None
     cache = cache or ArtifactCache(config.cache_dir, "readonly")
-    prep_payload = cache.load(
-        "prepared",
-        prepared_key_material(
-            source, name, config.pointsto_tier, profile=config.profile
-        ),
-    )
-    if prep_payload is None:
-        return None
-    return cache.load(
-        "outcome",
-        outcome_key_material(
-            prep_payload["ir_hash"], config.build_machine(),
-            config.pointsto_tier, config.scheme, config.seed,
-        ),
-    )
+    return _warm_probe(source, name, config, cache)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -197,90 +239,54 @@ def run_cell(
     cache_events = {"prepared": "off", "outcome": "off"}
     try:
         name, source = _bench_source(payload["bench"], payload.get("source"))
-        machine = config.build_machine()
-        cacheable = config.cacheable_results
 
         # Fast path: the outcome artifact alone answers the cell.  The
         # ir_hash needed for its key lives in the prepared artifact, so a
         # fully warm cell never even compiles.
-        prepared = None
-        ir_hash = None
-        if config.cache_enabled:
-            material = prepared_key_material(
-                source, name, config.pointsto_tier, profile=config.profile
+        prep_payload, out_payload = _warm_probe(source, name, config, cache)
+        if out_payload is not None:
+            cache_events.update(prepared="hit", outcome="hit")
+            report.record_cache("prepared", "hit")
+            ran_as = _served_outcome(out_payload, config.scheme, report)
+            roofline = out_payload["roofline"]
+            cell.update(
+                status="degraded" if ran_as != config.scheme else "ok",
+                ran_as=ran_as,
+                cycles=out_payload["eval"]["cycles"],
+                dynamic_moves=out_payload["eval"]["dynamic_moves"],
+                roofline_ratio=(roofline or {}).get("ratio"),
+                error=None,
             )
-            prep_payload = cache.load("prepared", material)
-            if prep_payload is not None:
-                ir_hash = prep_payload["ir_hash"]
-                cache_events["prepared"] = "hit"
-                report.record_cache("prepared", "hit")
-        if cacheable and ir_hash is not None:
-            out_material = outcome_key_material(
-                ir_hash, machine, config.pointsto_tier, config.scheme,
-                config.seed,
-            )
-            out_payload = cache.load("outcome", out_material)
-            if out_payload is not None:
-                cache_events["outcome"] = "hit"
-                report.record_cache("outcome", "hit")
-                report.record_run(config.scheme, [config.scheme])
-                ran_as = out_payload.get("ran_as", out_payload["scheme"])
-                report.record_final(config.scheme, ran_as, "ok")
-                roofline = out_payload.get("roofline")
-                if roofline is not None:
-                    report.record_roofline(ran_as, roofline)
-                cell.update(
-                    status=(
-                        "degraded"
-                        if ran_as != config.scheme else "ok"
-                    ),
-                    ran_as=ran_as,
-                    cycles=out_payload["eval"]["cycles"],
-                    dynamic_moves=out_payload["eval"]["dynamic_moves"],
-                    roofline_ratio=(roofline or {}).get("ratio"),
-                    error=None,
-                )
-                return _finish_cell(cell, cache_events, report, started)
+            return _finish_cell(cell, cache_events, report, started)
 
         # Slow path: materialise the prepared program (rehydrated on a
         # prepared hit, computed and stored on a miss) and run the scheme
-        # under the resilience ladder.
-        if config.cache_enabled and cache_events["prepared"] == "hit":
+        # on the one cache-aware ladder runner.
+        if prep_payload is not None:
             prepared = prepared_from_payload(prep_payload)
+            ir_hash, status = prep_payload["ir_hash"], "hit"
         else:
             prepared, ir_hash, status = load_or_prepare(
                 source, name, config, cache
             )
-            cache_events["prepared"] = status
-            if status != "off":
-                report.record_cache("prepared", status)
-
-        pipe = ResilientPipeline.from_config(config, machine=machine)
+        machine = config.build_machine()
+        ladder = ResilientPipeline(config, machine)
+        report = ladder.report
+        cache_events["prepared"] = status
+        if status != "off":
+            report.record_cache("prepared", status)
         try:
-            result = pipe.run(prepared, config.scheme, report=report)
+            result, cache_events["outcome"] = run_prepared_scheme(
+                prepared, machine, config, config.scheme, cache, ir_hash,
+                ladder,
+            )
         except LadderExhausted as exc:
             cell.update(
                 status="failed", ran_as=None, cycles=None,
                 dynamic_moves=None, roofline_ratio=None, error=str(exc),
             )
             return _finish_cell(cell, cache_events, report, started)
-
-        if cacheable and ir_hash is not None:
-            out_material = outcome_key_material(
-                ir_hash, machine, config.pointsto_tier, config.scheme,
-                config.seed,
-            )
-            out_payload = outcome_to_payload(result.outcome)
-            out_payload["ran_as"] = result.scheme
-            cache.store("outcome", out_material, out_payload)
-            cache_events["outcome"] = "miss"
-            report.record_cache("outcome", "miss")
-        elif not cacheable and config.cache_enabled:
-            cache_events["outcome"] = "skip"
-
-        roofline = getattr(result, "roofline", None)
-        if roofline is not None:
-            report.record_roofline(result.scheme, roofline)
+        roofline = result.roofline
         cell.update(
             status="degraded" if result.fell_back else "ok",
             ran_as=result.scheme,

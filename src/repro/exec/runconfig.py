@@ -15,9 +15,9 @@ Design contract:
 * :meth:`cache_key_material` is the canonical subset of fields that can
   change a result — it is embedded in every artifact-cache key and in
   every sweep report, which is what makes results content-addressable.
-* Legacy keyword arguments on the pipelines keep working through a
-  deprecation shim (see the mapping table in DESIGN.md section 8); new
-  code uses ``Pipeline.from_config(cfg)`` and friends.
+* It is the only way to configure a run: ``Pipeline(config=cfg)``,
+  ``ResilientPipeline(cfg)`` and ``PreparedProgram.from_source(...,
+  config=cfg)`` take no other knobs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -268,18 +267,3 @@ class RunConfig:
         for field in dataclasses.fields(self):
             lines.append(f"{field.name:15} {getattr(self, field.name)!r}")
         return "\n".join(lines)
-
-
-def warn_legacy_kwarg(owner: str, kwarg: str, field: str) -> None:
-    """Emit the deprecation shim warning for a pre-RunConfig keyword.
-
-    The legacy spelling keeps working for one release; the replacement is
-    the named :class:`RunConfig` field via ``{owner}.from_config(cfg)``.
-    The full mapping table lives in DESIGN.md section 8.
-    """
-    warnings.warn(
-        f"{owner}({kwarg}=...) is deprecated; set RunConfig.{field} and use "
-        f"{owner}.from_config(cfg) (see DESIGN.md section 8)",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -5,146 +5,53 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from ..machine import Machine
-from ..partition.gdp import GDPConfig
-from ..partition.rhop import RHOPConfig
-from .prepared import _UNSET, PreparedProgram
-from .schemes import SchemeOutcome, run_scheme
+from .prepared import PreparedProgram
 
 
 class Pipeline:
     """Runs partitioning schemes over prepared programs.
 
-    Configuration comes from one frozen :class:`~repro.exec.RunConfig`
-    (see :meth:`from_config`); the legacy ``validate=`` /
-    ``pointsto_tier=`` keywords still work behind a deprecation shim
-    (DESIGN.md section 8).  The legacy constructor defaults to
-    ``cache="off"`` so direct ``Pipeline(...)`` use keeps its historical
-    recompute-everything behaviour; configs built by callers default to
-    the artifact cache being on.
+    A few lines over one :class:`~repro.resilience.ResilientPipeline`
+    ladder: :meth:`prepare` is its profiler rung and :meth:`run` goes
+    through :func:`repro.exec.engine.run_prepared_scheme`, so every
+    scheme of one pipeline shares one budget, one fault plan and one run
+    report.  Configuration comes from one frozen
+    :class:`~repro.exec.RunConfig`; without one the artifact cache is off.
 
     Example
     -------
     >>> from repro.exec import RunConfig
     >>> from repro.pipeline import Pipeline
-    >>> pipe = Pipeline.from_config(RunConfig(latency=5, validate=True))
+    >>> pipe = Pipeline(config=RunConfig(latency=5, validate=True))
     """
 
-    def __init__(
-        self,
-        machine: Optional[Machine] = None,
-        gdp_config: Optional[GDPConfig] = None,
-        rhop_config: Optional[RHOPConfig] = None,
-        validate=_UNSET,
-        pointsto_tier=_UNSET,
-        config=None,
-    ):
-        from ..exec.runconfig import RunConfig, warn_legacy_kwarg
+    def __init__(self, machine: Optional[Machine] = None, config=None):
+        from ..exec.runconfig import RunConfig
+        from ..resilience import ResilientPipeline
 
-        if config is None:
-            if validate is not _UNSET:
-                warn_legacy_kwarg("Pipeline", "validate", "validate")
-            if pointsto_tier is not _UNSET:
-                warn_legacy_kwarg("Pipeline", "pointsto_tier", "pointsto_tier")
-            config = RunConfig(
-                validate=validate if validate is not _UNSET else False,
-                pointsto_tier=(
-                    pointsto_tier if pointsto_tier is not _UNSET
-                    else "andersen"
-                ),
-                cache="off",
-            )
-        elif validate is not _UNSET or pointsto_tier is not _UNSET:
-            raise ValueError(
-                "pass either config= or the legacy keywords, not both"
-            )
-        self.config = config
-        self.machine = machine if machine is not None else config.build_machine()
-        #: Expert knobs overriding the partitioner defaults; when either
-        #: is set, results are no longer a function of the RunConfig cache
-        #: key, so the artifact cache is bypassed.
-        self.gdp_config = gdp_config
-        self.rhop_config = rhop_config
-        #: When set, every phase output is checked against the paper's
-        #: invariants; :class:`repro.lint.PartitionValidityError` is raised
-        #: at the first violating phase.
-        self.validate = config.validate
-        #: Points-to precision tier used by :meth:`prepare`.
-        self.pointsto_tier = config.pointsto_tier
-
-    @classmethod
-    def from_config(
-        cls,
-        config,
-        machine: Optional[Machine] = None,
-        gdp_config: Optional[GDPConfig] = None,
-        rhop_config: Optional[RHOPConfig] = None,
-    ) -> "Pipeline":
-        """The non-deprecated constructor: everything from a RunConfig."""
-        return cls(
-            machine=machine, gdp_config=gdp_config, rhop_config=rhop_config,
-            config=config,
-        )
+        self.config = config if config is not None else RunConfig(cache="off")
+        self.ladder = ResilientPipeline(self.config, machine)
+        self.machine = self.ladder.machine
 
     def prepare(self, source: str, name: str = "program") -> PreparedProgram:
-        return PreparedProgram.from_source(source, name, config=self.config)
+        return self.ladder.prepare(source, name)
 
-    def _cache(self):
-        from ..exec.cache import ArtifactCache
+    def run(self, prepared: PreparedProgram, scheme: str = "gdp"):
+        """One scheme as a :class:`~repro.resilience.ResilientOutcome`."""
+        from ..exec.engine import run_prepared_scheme
 
-        return ArtifactCache(self.config.cache_dir, self.config.cache)
-
-    def _cache_usable(self) -> bool:
-        """The artifact cache only answers for results that are a pure
-        function of the RunConfig key — custom partitioner configs are
-        outside it."""
-        return (
-            self.config.cacheable_results
-            and self.gdp_config is None
-            and self.rhop_config is None
-        )
-
-    def run(
-        self,
-        prepared: PreparedProgram,
-        scheme: str = "gdp",
-        object_home: Optional[Dict[str, int]] = None,
-        validate: Optional[bool] = None,
-    ) -> SchemeOutcome:
-        return run_scheme(
-            prepared,
-            self.machine,
-            scheme,
-            gdp_config=self.gdp_config,
-            rhop_config=self.rhop_config,
-            object_home=object_home,
-            validate=self.validate if validate is None else validate,
-            seed_offset=self.config.seed,
-        )
+        return run_prepared_scheme(
+            prepared, self.machine, self.config, scheme, ladder=self.ladder
+        )[0]
 
     def run_all(
         self,
         prepared: PreparedProgram,
         schemes: Iterable[str] = ("unified", "gdp", "profilemax", "naive"),
-    ) -> Dict[str, SchemeOutcome]:
+    ) -> Dict[str, object]:
         """Run each distinct scheme once, in first-seen order (a caller
-        passing a list that repeats a scheme doesn't pay for it twice).
-        With a cache-enabled config, each scheme is served from / stored
-        into the artifact cache via the execution engine."""
-        if not self._cache_usable():
-            return {
-                name: self.run(prepared, name)
-                for name in dict.fromkeys(schemes)
-            }
-        from ..exec.engine import run_prepared_scheme
-
-        cache = self._cache()
-        return {
-            name: run_prepared_scheme(
-                prepared, self.machine, self.config, name, cache,
-                validate=self.validate,
-            )[0]
-            for name in dict.fromkeys(schemes)
-        }
+        passing a list that repeats a scheme doesn't pay for it twice)."""
+        return {name: self.run(prepared, name) for name in dict.fromkeys(schemes)}
 
     def compare(
         self,
@@ -152,7 +59,8 @@ class Pipeline:
         schemes: Iterable[str] = ("gdp", "profilemax", "naive"),
     ) -> Dict[str, float]:
         """Relative performance of each scheme vs the unified upper bound
-        (the paper's headline metric; 1.0 = matches unified memory)."""
+        (the paper's headline metric; 1.0 = matches unified memory),
+        computed from whatever rung each scheme ran as."""
         ordered = ["unified"] + [s for s in schemes if s != "unified"]
         outcomes = self.run_all(prepared, ordered)
         base = outcomes["unified"].cycles

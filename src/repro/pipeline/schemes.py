@@ -14,7 +14,7 @@ scheduling.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Optional
 
 from ..evalmodel import EvalResult, evaluate_module
 from ..ir import Module
@@ -77,8 +77,7 @@ class SchemeOutcome:
     ``timings`` maps pipeline-phase names (``"gdp"``, ``"homes"``,
     ``"rhop"``, ``"finalize"``) to wall seconds — the per-phase clocks the
     resilience run reports and the compile-time benchmarks both read, so
-    the two can never drift apart.  A bare float is accepted for backward
-    compatibility and interpreted as the RHOP time.
+    the two can never drift apart.
     """
 
     def __init__(
@@ -89,7 +88,7 @@ class SchemeOutcome:
         assignment: Dict[int, int],
         object_home: Optional[Dict[str, int]],
         eval_result: EvalResult,
-        timings: Union[float, Dict[str, float]],
+        timings: Dict[str, float],
         rhop_runs: int,
     ):
         self.scheme = scheme
@@ -98,10 +97,7 @@ class SchemeOutcome:
         self.assignment = assignment
         self.object_home = object_home
         self.eval = eval_result
-        if isinstance(timings, dict):
-            self.timings = dict(timings)
-        else:
-            self.timings = {"rhop": float(timings)}
+        self.timings = dict(timings)
         self.rhop_runs = rhop_runs
         #: Data-movement roofline summary (``evalmodel.roofline``), set by
         #: the scheme runners once the move count is known.

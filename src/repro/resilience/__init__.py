@@ -5,7 +5,7 @@ The pipeline (points-to + profiling → GDP graph partition → RHOP with
 locked memory ops) is a chain where one bad phase output poisons
 everything downstream.  This package makes the chain survivable:
 
-- :class:`Budget` — cooperative wall-clock/attempt deadline polled inside
+- :class:`Budget` — cooperative wall-clock deadline polled inside
   the multilevel and RHOP refinement loops (anytime partitioning: expiry
   returns the best assignment found so far, never a crash);
 - :class:`PhaseError` / :class:`InjectedFault` / :class:`LadderExhausted`

@@ -1,4 +1,4 @@
-"""Cooperative wall-clock / attempt budgets for anytime partitioning.
+"""Cooperative wall-clock budgets for anytime partitioning.
 
 A :class:`Budget` is shared by reference between the resilient pipeline
 and the iterative partitioners (``GDPConfig.budget`` /
@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 
 class Budget:
-    """A cooperative deadline: wall-clock seconds and/or attempt count.
+    """A cooperative wall-clock deadline.
 
     ``expired()`` is cheap and safe to call in inner loops.  The budget
     starts ticking at construction; call :meth:`restart` to re-arm it
@@ -28,19 +28,13 @@ class Budget:
     def __init__(
         self,
         max_seconds: Optional[float] = None,
-        max_attempts: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         if max_seconds is not None and max_seconds < 0:
             raise ValueError("max_seconds must be >= 0")
-        if max_attempts is not None and max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         self.max_seconds = max_seconds
-        self.max_attempts = max_attempts
         self._clock = clock
         self._start = clock()
-
-    # -- wall clock ------------------------------------------------------------
 
     def restart(self) -> "Budget":
         """Re-arm the deadline from *now*; returns self for chaining."""
@@ -61,18 +55,10 @@ class Budget:
             return False
         return self.elapsed() >= self.max_seconds
 
-    # -- attempts --------------------------------------------------------------
-
-    def allows_attempt(self, attempt: int) -> bool:
-        """Whether 1-based attempt number ``attempt`` may start."""
-        if self.max_attempts is None:
-            return True
-        return attempt <= self.max_attempts
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<budget {self.elapsed():.3f}s elapsed, "
-            f"max_seconds={self.max_seconds}, max_attempts={self.max_attempts}>"
+            f"max_seconds={self.max_seconds}>"
         )
 
 

@@ -69,7 +69,7 @@ class RunReport:
       ``error`` / ``invalid``, per-phase seconds, error text, diagnostics
     - ``fault``     — a :class:`FaultPlan` clause fired
     - ``fallback``  — the ladder stepped down a rung
-    - ``budget``    — the budget expired / attempt cap hit, ending retries
+    - ``budget``    — the wall-clock budget expired, ending retries
     - ``final``     — terminal status for a requested scheme
     """
 

@@ -491,15 +491,15 @@ class TestStaticProfileMode:
         from repro.exec import RunConfig
         from repro.resilience import ResilientPipeline
 
-        pipe = ResilientPipeline.from_config(
-            RunConfig(fault_spec="raise:profiler@1", fallback=True)
+        pipe = ResilientPipeline(
+            RunConfig(fault_spec="raise:profiler@1", fallback=True, cache="off")
         )
-        prepared, report = pipe.prepare(ARRAY_SRC, "t")
+        prepared = pipe.prepare(ARRAY_SRC, "t")
         assert prepared.profile.is_static()
         assert any(
             f.get("from") == "profile:dynamic"
             and f.get("to") == "profile:static"
-            for f in report.fallbacks()
+            for f in pipe.report.fallbacks()
         )
 
 

@@ -1,8 +1,8 @@
-"""Execution engine: RunConfig, artifact cache, parallel sweeps, shims."""
+"""Execution engine: RunConfig, artifact cache, the one scheme runner,
+parallel sweeps."""
 
 import json
 import os
-import warnings
 
 import pytest
 
@@ -22,7 +22,6 @@ from repro.exec.artifacts import (
     prepared_key_material,
 )
 from repro.pipeline import Pipeline, PreparedProgram
-from repro.resilience import ResilientPipeline
 
 SOURCE = """
 int N = 12;
@@ -153,54 +152,6 @@ class TestRunConfigError:
     def test_non_dict_rejected(self):
         with pytest.raises(RunConfigError):
             RunConfig.from_dict(["not", "a", "dict"])
-
-
-# -- Legacy keyword shims -----------------------------------------------------
-
-
-class TestLegacyKwargShims:
-    def test_pipeline_validate_warns(self):
-        with pytest.warns(DeprecationWarning, match="RunConfig.validate"):
-            pipe = Pipeline(validate=True)
-        assert pipe.validate is True
-
-    def test_pipeline_pointsto_tier_warns(self):
-        with pytest.warns(DeprecationWarning, match="pointsto_tier"):
-            pipe = Pipeline(pointsto_tier="field")
-        assert pipe.pointsto_tier == "field"
-
-    def test_resilient_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="ResilientPipeline"):
-            pipe = ResilientPipeline(retries=2, fallback=False)
-        assert pipe.retries == 2 and pipe.fallback is False
-
-    def test_prepared_from_source_tier_warns(self):
-        with pytest.warns(DeprecationWarning, match="pointsto_tier"):
-            PreparedProgram.from_source(SOURCE, "tiny", pointsto_tier="field")
-
-    def test_from_config_does_not_warn(self):
-        cfg = RunConfig(validate=True, pointsto_tier="field", retries=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            pipe = Pipeline.from_config(cfg)
-            res = ResilientPipeline.from_config(cfg)
-            PreparedProgram.from_source(SOURCE, "tiny", config=cfg)
-        assert pipe.validate and pipe.pointsto_tier == "field"
-        assert res.retries == 2 and res.seed == 0
-
-    def test_config_and_legacy_kwargs_conflict(self):
-        with pytest.raises(ValueError):
-            Pipeline(validate=True, config=RunConfig())
-        with pytest.raises(ValueError):
-            ResilientPipeline(retries=1, config=RunConfig())
-
-    def test_legacy_defaults_preserved(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            pipe = Pipeline()
-            res = ResilientPipeline()
-        assert pipe.validate is False and pipe.config.cache == "off"
-        assert res.validate is True and res.retries == 1 and res.fallback
 
 
 # -- Artifact cache -----------------------------------------------------------
@@ -549,7 +500,7 @@ class TestLookupCachedOutcome:
 class TestPipelineCachePath:
     def test_run_all_served_from_cache(self, tmp_path, tiny_prepared, monkeypatch):
         cfg = RunConfig(cache_dir=str(tmp_path))
-        first = Pipeline.from_config(cfg).run_all(tiny_prepared)
+        first = Pipeline(config=cfg).run_all(tiny_prepared)
         # Second pipeline must answer entirely from the artifact store:
         # recomputing is made impossible.
         import repro.pipeline.schemes as schemes
@@ -558,19 +509,42 @@ class TestPipelineCachePath:
             raise AssertionError("cache miss: run_scheme was called")
 
         monkeypatch.setattr(schemes, "run_scheme", boom)
-        second = Pipeline.from_config(cfg).run_all(tiny_prepared)
+        second = Pipeline(config=cfg).run_all(tiny_prepared)
         for name, outcome in first.items():
             assert second[name].cycles == outcome.cycles
 
-    def test_custom_partitioner_config_bypasses_cache(self, tmp_path, tiny_prepared):
-        from repro.partition.rhop import RHOPConfig
 
-        cfg = RunConfig(cache_dir=str(tmp_path))
-        pipe = Pipeline.from_config(cfg, rhop_config=RHOPConfig())
-        assert not pipe._cache_usable()
-        outcomes = pipe.run_all(tiny_prepared, ["unified"])
-        assert outcomes["unified"].cycles > 0
-        assert ArtifactCache(str(tmp_path), "on").stats()["entries"] == 0
+    def test_served_outcome_reports_the_fallback(self, tmp_path, monkeypatch):
+        """A cell that degraded when it was stored must read back as
+        degraded through every runner that serves the same key."""
+        import repro.pipeline.schemes as schemes
+        from repro.exec.engine import run_cell
+
+        real_run_scheme = schemes.run_scheme
+
+        def gdp_down(prepared, machine, scheme, **kwargs):
+            if scheme == "gdp":
+                raise RuntimeError("gdp is down")
+            return real_run_scheme(prepared, machine, scheme, **kwargs)
+
+        monkeypatch.setattr(schemes, "run_scheme", gdp_down)
+        cfg = RunConfig(cache_dir=str(tmp_path), retries=0)
+        cell = run_cell(
+            {"bench": "tiny", "source": SOURCE, "config": cfg.to_dict()}
+        )
+        assert (cell["status"], cell["ran_as"]) == ("degraded", "profilemax")
+        assert cell["cache"]["outcome"] == "miss"
+
+        prepared, ir_hash, status = load_or_prepare(SOURCE, "tiny", cfg)
+        assert status == "hit"
+        outcome, status = run_prepared_scheme(
+            prepared, cfg.build_machine(), cfg, "gdp", ir_hash=ir_hash
+        )
+        assert status == "hit"
+        assert outcome.fell_back
+        assert (outcome.requested, outcome.scheme) == ("gdp", "profilemax")
+        assert outcome.report.final()["scheme"] == "profilemax"
+        assert outcome.cycles == cell["cycles"]
 
 
 # -- Parallel sweeps ----------------------------------------------------------
@@ -687,6 +661,23 @@ class TestCli:
         second = capsys.readouterr().out
         assert first.splitlines()[0] == second.splitlines()[0]
         stats = ArtifactCache(cache_dir, "on").stats()
+        assert stats["disk"]["prepared"]["entries"] == 1
+        assert stats["disk"]["outcome"]["entries"] == 1
+
+    def test_resilient_partition_reads_the_cache(self, demo_file, tmp_path,
+                                                 capsys):
+        from repro.cli import main
+
+        argv = ["partition", demo_file, "--retries", "1", "--cache", "on",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "attempts: 2  faults: 0" in capsys.readouterr().out
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        # Only the profiler rung ran: the prepared program and the
+        # outcome both came from the store.
+        assert "attempts: 1  faults: 0" in warm
+        stats = ArtifactCache(str(tmp_path), "on").stats()
         assert stats["disk"]["prepared"]["entries"] == 1
         assert stats["disk"]["outcome"]["entries"] == 1
 

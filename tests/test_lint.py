@@ -47,7 +47,8 @@ from repro.machine import (
 from repro.partition.bugalgo import BUG
 from repro.partition.merges import MergedGroup, MergeResult
 from repro.partition.rhop import RHOP, RHOPResult, record_infeasible_locks
-from repro.pipeline import Pipeline, PreparedProgram
+from repro.exec import RunConfig
+from repro.pipeline import Pipeline, PreparedProgram, run_scheme
 from repro.cli import main
 
 
@@ -631,10 +632,11 @@ class TestPipelineValidation:
         return PreparedProgram.from_source(THREE_ARRAYS, "m")
 
     def test_all_schemes_validate_cleanly(self, prepared):
-        pipe = Pipeline(validate=True)
+        pipe = Pipeline(config=RunConfig(validate=True, cache="off"))
         for scheme in ("unified", "gdp", "profilemax", "naive"):
             outcome = pipe.run(prepared, scheme)
             assert outcome.cycles > 0
+            assert not outcome.fell_back
 
     def test_mutated_gdp_home_rejected_by_validation(self, prepared):
         pipe = Pipeline()
@@ -642,7 +644,9 @@ class TestPipelineValidation:
         bad = dict(good)
         bad[sorted(bad)[0]] = 99
         with pytest.raises(PartitionValidityError) as exc:
-            pipe.run(prepared, "gdp", object_home=bad, validate=True)
+            run_scheme(
+                prepared, pipe.machine, "gdp", object_home=bad, validate=True
+            )
         assert exc.value.phase == "gdp"
         assert exc.value.report.by_rule("object-home-range")
 
@@ -652,7 +656,9 @@ class TestPipelineValidation:
         bad = dict(good)
         bad.pop(sorted(bad)[0])
         with pytest.raises(PartitionValidityError) as exc:
-            pipe.run(prepared, "gdp", object_home=bad, validate=True)
+            run_scheme(
+                prepared, pipe.machine, "gdp", object_home=bad, validate=True
+            )
         assert exc.value.report.by_rule("object-home-missing")
 
     def test_post_hoc_mutated_home_caught_by_lock_check(self, prepared):
@@ -676,7 +682,7 @@ class TestPipelineValidation:
         good = pipe.run(prepared, "gdp").object_home
         bad = dict(good)
         bad.pop(sorted(bad)[0])
-        pipe.run(prepared, "gdp", object_home=bad)  # no raise
+        run_scheme(prepared, pipe.machine, "gdp", object_home=bad)  # no raise
 
 
 # -- CLI -----------------------------------------------------------------------------

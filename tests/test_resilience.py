@@ -16,6 +16,7 @@ from repro.machine import two_cluster_machine
 from repro.partition.gdp import GDPConfig
 from repro.partition.multilevel import MultilevelPartitioner, PartitionGraph
 from repro.partition.rhop import RHOPConfig
+from repro.exec import RunConfig
 from repro.pipeline import Pipeline, PreparedProgram
 from repro.resilience import (
     Budget,
@@ -59,6 +60,15 @@ def prepared():
     return PreparedProgram.from_source(SRC, "resil")
 
 
+def _config(**fields):
+    """A validating, cache-off RunConfig (the ladder tests' baseline)."""
+    return RunConfig(validate=True, cache="off", **fields)
+
+
+def _ladder(**fields):
+    return ResilientPipeline(_config(**fields))
+
+
 # -- Budget -------------------------------------------------------------------
 
 
@@ -67,7 +77,6 @@ class TestBudget:
         budget = Budget()
         assert not budget.expired()
         assert budget.remaining() is None
-        assert budget.allows_attempt(10_000)
 
     def test_wall_clock_expiry_with_fake_clock(self):
         now = [0.0]
@@ -82,17 +91,9 @@ class TestBudget:
         budget.restart()
         assert not budget.expired()
 
-    def test_attempt_cap(self):
-        budget = Budget(max_attempts=2)
-        assert budget.allows_attempt(1)
-        assert budget.allows_attempt(2)
-        assert not budget.allows_attempt(3)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Budget(max_seconds=-1)
-        with pytest.raises(ValueError):
-            Budget(max_attempts=0)
 
     def test_budget_expired_helper(self):
         assert not budget_expired(None)
@@ -277,23 +278,11 @@ class TestAnytimeBudget:
         assert free.partition(_ring_graph()) == capped.partition(_ring_graph())
 
     def test_scheme_under_expired_budget_is_valid(self, prepared):
-        pipe = ResilientPipeline(budget=Budget(max_seconds=0.0), retries=2)
+        pipe = _ladder(max_seconds=0.0, retries=2)
         result = pipe.run(prepared, "gdp")
         assert result.scheme == "gdp"
         diag = check_scheme_outcome(prepared, result.outcome)
         assert not diag.has_errors
-
-    def test_attempt_cap_stops_ladder(self, prepared):
-        pipe = ResilientPipeline(
-            retries=2,
-            budget=Budget(max_attempts=2),
-            faults=FaultPlan.parse("seed=1;raise:*"),
-        )
-        with pytest.raises(LadderExhausted) as excinfo:
-            pipe.run(prepared, "gdp")
-        report = excinfo.value.run_report
-        assert len(report.attempts()) == 2
-        assert any(e["kind"] == "budget" for e in report.events)
 
     def test_config_reseeded_preserves_and_overrides(self):
         budget = Budget(max_seconds=10)
@@ -308,16 +297,14 @@ class TestAnytimeBudget:
 
 class TestResilientPipeline:
     def test_clean_run_has_no_fallback(self, prepared):
-        result = ResilientPipeline(retries=1).run(prepared, "gdp")
+        result = _ladder(retries=1).run(prepared, "gdp")
         assert result.scheme == "gdp" and not result.fell_back
         assert result.report.final()["status"] == "ok"
         assert len(result.report.attempts()) == 1
         assert result.cycles > 0  # attribute delegation to the outcome
 
     def test_transient_fault_recovers_via_reseed_retry(self, prepared):
-        pipe = ResilientPipeline(
-            retries=1, faults=FaultPlan.parse("seed=3;raise:gdp@1")
-        )
+        pipe = _ladder(retries=1, fault_spec="seed=3;raise:gdp@1")
         result = pipe.run(prepared, "gdp")
         assert result.scheme == "gdp" and not result.fell_back
         statuses = [(a["attempt"], a["status"]) for a in result.report.attempts()]
@@ -327,10 +314,7 @@ class TestResilientPipeline:
         """The acceptance-criteria scenario: injected GDP fault with
         fallback enabled completes with a Profile Max outcome whose
         assignment passes the partition validity checker."""
-        pipe = ResilientPipeline(
-            retries=1, fallback=True,
-            faults=FaultPlan.parse("seed=3;raise:gdp"),
-        )
+        pipe = _ladder(retries=1, fallback=True, fault_spec="seed=3;raise:gdp")
         result = pipe.run(prepared, "gdp")
         assert result.fell_back and result.scheme == "profilemax"
         report = result.report
@@ -342,9 +326,7 @@ class TestResilientPipeline:
         assert not diag.has_errors
 
     def test_corrupt_homes_rejected_by_validity_checker(self, prepared):
-        pipe = ResilientPipeline(
-            retries=0, faults=FaultPlan.parse("seed=9;corrupt-homes:gdp:2")
-        )
+        pipe = _ladder(retries=0, fault_spec="seed=9;corrupt-homes:gdp:2")
         result = pipe.run(prepared, "gdp")
         assert result.fell_back
         bad = result.report.attempts("gdp")[0]
@@ -352,10 +334,7 @@ class TestResilientPipeline:
         assert any("lock-violation" in d for d in bad["diagnostics"])
 
     def test_no_fallback_raises_ladder_exhausted(self, prepared):
-        pipe = ResilientPipeline(
-            retries=0, fallback=False,
-            faults=FaultPlan.parse("seed=3;raise:gdp"),
-        )
+        pipe = _ladder(retries=0, fallback=False, fault_spec="seed=3;raise:gdp")
         with pytest.raises(LadderExhausted) as excinfo:
             pipe.run(prepared, "gdp")
         report = excinfo.value.run_report
@@ -363,18 +342,14 @@ class TestResilientPipeline:
         assert report.final()["status"] == "failed"
 
     def test_whole_ladder_exhausted(self, prepared):
-        pipe = ResilientPipeline(
-            retries=0, faults=FaultPlan.parse("seed=3;raise:*")
-        )
+        pipe = _ladder(retries=0, fault_spec="seed=3;raise:*")
         with pytest.raises(LadderExhausted) as excinfo:
             pipe.run(prepared, "gdp")
         attempts = excinfo.value.run_report.attempts()
         assert [a["scheme"] for a in attempts] == list(LADDER)
 
     def test_ladder_starts_at_requested_rung(self, prepared):
-        pipe = ResilientPipeline(
-            retries=0, faults=FaultPlan.parse("seed=3;raise:naive")
-        )
+        pipe = _ladder(retries=0, fault_spec="seed=3;raise:naive")
         result = pipe.run(prepared, "naive")
         assert result.scheme == "unified"
         assert [a["scheme"] for a in result.report.attempts()] == [
@@ -382,7 +357,7 @@ class TestResilientPipeline:
         ]
 
     def test_run_all_dedupes_schemes(self, prepared):
-        pipe = ResilientPipeline(retries=0)
+        pipe = Pipeline(config=_config(retries=0))
         outcomes = pipe.run_all(
             prepared, ["unified", "gdp", "unified", "gdp"]
         )
@@ -391,7 +366,7 @@ class TestResilientPipeline:
         assert len(report.attempts("unified")) == 1
 
     def test_compare_ratios(self, prepared):
-        rel = ResilientPipeline(retries=0).compare(
+        rel = Pipeline(config=_config(retries=0)).compare(
             prepared, schemes=("gdp", "naive")
         )
         assert set(rel) == {"gdp", "naive"}
@@ -399,7 +374,7 @@ class TestResilientPipeline:
 
     def test_rejects_negative_retries(self):
         with pytest.raises(ValueError):
-            ResilientPipeline(retries=-1)
+            _ladder(retries=-1)
 
 
 # -- Determinism and goldens --------------------------------------------------
@@ -407,9 +382,7 @@ class TestResilientPipeline:
 
 class TestDeterminism:
     def _ladder_json(self, prepared):
-        pipe = ResilientPipeline(
-            retries=1, faults=FaultPlan.parse("seed=3;raise:gdp")
-        )
+        pipe = _ladder(retries=1, fault_spec="seed=3;raise:gdp")
         result = pipe.run(prepared, "gdp")
         return result.report.to_json(deterministic=True)
 
@@ -424,13 +397,11 @@ class TestDeterminism:
 
     def test_corrupt_homes_json_byte_identical(self, prepared):
         def run():
-            pipe = ResilientPipeline(
-                retries=1,
-                faults=FaultPlan.parse("seed=11;corrupt-homes:gdp:2"),
+            pipe = _ladder(
+                retries=1, fault_spec="seed=11;corrupt-homes:gdp:2"
             )
-            report = RunReport()
-            pipe.run(prepared, "gdp", report=report)
-            return report.to_json(deterministic=True)
+            pipe.run(prepared, "gdp")
+            return pipe.report.to_json(deterministic=True)
 
         assert run() == run()
 
