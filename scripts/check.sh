@@ -28,6 +28,8 @@
 #               results), flip bytes in cache artifacts (quarantine +
 #               self-heal), and a bounded-queue backpressure loadtest
 #               (429 + Retry-After absorbed by client backoff).
+#   perfbench   the repo benchmark's own tests, incl. that the tracer
+#               still finds every layer function it wraps.
 #
 # Usage: scripts/check.sh [stage ...]   (from the repository root)
 #        no arguments runs every stage in order.
@@ -37,7 +39,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 
-STAGES="tools examples benches faults ptdiff staticdiff regioncheck cache service chaos"
+STAGES="tools examples benches faults ptdiff staticdiff regioncheck cache service chaos perfbench"
 failures=0
 
 note() { printf '== %s\n' "$*"; }
@@ -244,20 +246,11 @@ stage_regioncheck() {
 import sys
 
 from repro.bench import all_benchmarks
+from repro.exec import SCHEMES
 from repro.lint import check_region_outcome, lint_module
 from repro.machine import two_cluster_machine
-from repro.pipeline import (
-    PreparedProgram,
-    run_gdp,
-    run_naive,
-    run_profile_max,
-    run_unified,
-)
+from repro.pipeline import PreparedProgram, run_scheme
 
-SCHEMES = (
-    ("gdp", run_gdp), ("profilemax", run_profile_max),
-    ("naive", run_naive), ("unified", run_unified),
-)
 machine = two_cluster_machine(move_latency=5)
 bad = 0
 splittable_benches = []
@@ -271,8 +264,8 @@ for bench in all_benchmarks():
         splittable_benches.append(bench.name)
     errors = len(lint.errors)
     worst = 1.0
-    for name, run in SCHEMES:
-        outcome = run(prepared, machine)
+    for name in SCHEMES:
+        outcome = run_scheme(prepared, machine, name)
         report = check_region_outcome(prepared, outcome)
         errors += len(report.errors)
         for diag in report.errors:
@@ -443,6 +436,11 @@ print(f"{'ok' if ok else 'FAIL'}: loadtest exit {load.returncode}, "
       f"429 retries {retries}, checks {checks}")
 sys.exit(0 if ok else 1)
 PY
+}
+
+stage_perfbench() {
+    note "repo benchmark tests (workloads, metrics, tracer coverage)"
+    python -m pytest perfbench -q || failures=$((failures + 1))
 }
 
 # -- dispatch -----------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import List, Optional
 
 from .bench import all_benchmarks, get as get_benchmark
 from .evalmodel import format_table
-from .exec.runconfig import CACHE_POLICIES, MACHINE_PRESETS, RunConfig
+from .exec.runconfig import CACHE_POLICIES, MACHINE_PRESETS, SCHEMES, RunConfig
 from .ir import print_module
 from .ir.serialize import dumps
 from .lang import compile_source
@@ -594,10 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="run one partitioning scheme")
     p.add_argument("file")
     p.add_argument("--name", default="program")
-    p.add_argument("--scheme", default="gdp",
-                   choices=["gdp", "profilemax", "naive", "unified"])
+    p.add_argument("--scheme", default="gdp", choices=SCHEMES)
     p.add_argument("--verify-partition", action="store_true",
-                   help="check every phase output against the paper's "
+                   help="check the scheme's output against the paper's "
                    "invariants (fails on any violation)")
     _add_machine_flags(p)
     _add_pointsto_flag(p)
@@ -610,7 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--name", default="program")
     p.add_argument("--verify-partition", action="store_true",
-                   help="validate each scheme's phase outputs while running")
+                   help="check each scheme's output against the paper's "
+                   "invariants")
     _add_machine_flags(p)
     _add_pointsto_flag(p)
     _add_profile_flag(p)
@@ -657,8 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-partition", action="store_true",
                    help="also run a scheme and check the partition "
                    "validity invariants on its output")
-    p.add_argument("--scheme", default="gdp",
-                   choices=["gdp", "profilemax", "naive", "unified"],
+    p.add_argument("--scheme", default="gdp", choices=SCHEMES,
                    help="scheme for --verify-partition (default gdp)")
     _add_compile_flags(p)
     _add_machine_flags(p)
@@ -674,8 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = config_sub.add_parser(
         "show", help="print the RunConfig a flag combination resolves to"
     )
-    p.add_argument("--scheme", default="gdp",
-                   choices=["gdp", "profilemax", "naive", "unified"])
+    p.add_argument("--scheme", default="gdp", choices=SCHEMES)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument("--verify-partition", action="store_true",
                    help="resolve with validation enabled")
@@ -761,8 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tenant id for fair scheduling and quotas")
     p.add_argument("--priority", type=int, default=0,
                    help="higher runs earlier (default 0)")
-    p.add_argument("--scheme", default="gdp",
-                   choices=["gdp", "profilemax", "naive", "unified"])
+    p.add_argument("--scheme", default="gdp", choices=SCHEMES)
     p.add_argument("--follow", action="store_true",
                    help="stream the job's NDJSON lifecycle events while "
                    "it runs")

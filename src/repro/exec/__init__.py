@@ -13,7 +13,6 @@ The public surface of the sweep machinery:
 
 from .cache import ArtifactCache, canonical_key, content_sha, default_cache_dir
 from .engine import (
-    SWEEP_SCHEMES,
     ParallelRunner,
     SweepResult,
     load_or_prepare,
@@ -43,7 +42,6 @@ __all__ = [
     "RunConfigError",
     "SCHEMA_VERSION",
     "SCHEMES",
-    "SWEEP_SCHEMES",
     "SweepResult",
     "canonical_key",
     "content_sha",

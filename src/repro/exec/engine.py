@@ -31,11 +31,7 @@ from .artifacts import (
     prepared_to_payload,
 )
 from .cache import ArtifactCache
-from .runconfig import SCHEMA_VERSION, RunConfig
-
-#: Default scheme set of a sweep (Table 1 order, unified first so the
-#: relative-performance column always has its baseline).
-SWEEP_SCHEMES = ("unified", "gdp", "profilemax", "naive")
+from .runconfig import SCHEMA_VERSION, SCHEMES, RunConfig
 
 #: Placeholder used when deterministic serialisation scrubs a field whose
 #: value depends on execution order or wall clocks (cache locality, jobs).
@@ -512,7 +508,7 @@ class ParallelRunner:
     def cells(
         self,
         benches: Sequence[str],
-        schemes: Iterable[str] = SWEEP_SCHEMES,
+        schemes: Iterable[str] = SCHEMES,
         latencies: Optional[Iterable[int]] = None,
         tiers: Optional[Iterable[str]] = None,
         sources: Optional[Dict[str, str]] = None,
@@ -543,7 +539,7 @@ class ParallelRunner:
     def sweep(
         self,
         benches: Sequence[str],
-        schemes: Iterable[str] = SWEEP_SCHEMES,
+        schemes: Iterable[str] = SCHEMES,
         latencies: Optional[Iterable[int]] = None,
         tiers: Optional[Iterable[str]] = None,
         sources: Optional[Dict[str, str]] = None,

@@ -15,7 +15,6 @@ CLI: ``repro lint program.mc`` / ``repro partition --verify-partition``.
 from .diagnostics import (
     Diagnostic,
     DiagnosticReport,
-    PartitionValidityError,
     Severity,
 )
 from .runner import (
@@ -60,7 +59,6 @@ from .regioncheck import (
 __all__ = [
     "Diagnostic",
     "DiagnosticReport",
-    "PartitionValidityError",
     "Severity",
     "LintContext",
     "LintPass",

@@ -487,7 +487,9 @@ def check_scheme_outcome(
 
             cap = GDPConfig().size_imbalance
         elif cap is None and scheme == "profilemax":
-            cap = 1.15
+            from ..pipeline.schemes import PROFILE_MAX_IMBALANCE
+
+            cap = PROFILE_MAX_IMBALANCE
         report.extend(
             check_data_partition(
                 prepared.objects,

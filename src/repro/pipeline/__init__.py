@@ -7,11 +7,7 @@ from .schemes import (
     SCHEME_TABLE,
     finalize_and_evaluate,
     SchemeOutcome,
-    run_gdp,
-    run_naive,
-    run_profile_max,
     run_scheme,
-    run_unified,
 )
 
 __all__ = [
@@ -20,9 +16,5 @@ __all__ = [
     "SCHEME_TABLE",
     "finalize_and_evaluate",
     "SchemeOutcome",
-    "run_gdp",
-    "run_naive",
-    "run_profile_max",
     "run_scheme",
-    "run_unified",
 ]

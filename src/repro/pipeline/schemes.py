@@ -7,34 +7,30 @@
 | Naïve       | none (post-pass moves)    | max-access, no balance | RHOP        |
 | Unified     | n/a (single memory)       | n/a                    | RHOP        |
 
-Every scheme works on its own clone of the prepared module, ends with
-intercluster move insertion, and is evaluated by profile-weighted list
-scheduling.
+All four run through :func:`run_scheme`, one skeleton that differs only
+where the table does: when and how objects get their homes.  Every scheme
+works on its own clone of the prepared module, ends with intercluster
+move insertion, and is evaluated by profile-weighted list scheduling.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..evalmodel import EvalResult, evaluate_module
+from ..evalmodel import EvalResult, evaluate_module, roofline
 from ..ir import Module
 from ..machine import Machine
 from ..partition.assign import insert_intercluster_moves
-from ..partition.gdp import DataPartition, GDPConfig, gdp_partition
+from ..partition.gdp import GDPConfig, gdp_partition
 from ..partition.locks import memory_locks
 from ..partition.rhop import RHOP, RHOPConfig, RHOPResult
 from ..resilience.faults import FaultPlan
 from ..resilience.report import PhaseTimer
-from ..lint import (
-    DiagnosticReport,
-    PartitionValidityError,
-    check_data_partition,
-    check_memory_locks,
-    check_moves,
-    check_schedule,
-    diagnose_lock_violations,
-)
 from .prepared import PreparedProgram
+
+#: Profile Max's memory-balance cap: greedy homing keeps every cluster's
+#: object bytes within this multiple of an even share.
+PROFILE_MAX_IMBALANCE = 1.15
 
 #: Scheme descriptors used to regenerate Table 1.
 SCHEME_TABLE = {
@@ -100,7 +96,7 @@ class SchemeOutcome:
         self.timings = dict(timings)
         self.rhop_runs = rhop_runs
         #: Data-movement roofline summary (``evalmodel.roofline``), set by
-        #: the scheme runners once the move count is known.
+        #: :func:`run_scheme` once the move count is known.
         self.roofline: Optional[Dict[str, float]] = None
 
     @property
@@ -128,94 +124,106 @@ def run_scheme(
     gdp_config: Optional[GDPConfig] = None,
     rhop_config: Optional[RHOPConfig] = None,
     object_home: Optional[Dict[str, int]] = None,
-    pmax_imbalance: float = 1.15,
-    validate: bool = False,
-    seed_offset: int = 0,
     faults: Optional[FaultPlan] = None,
 ) -> SchemeOutcome:
     """Run one named scheme end to end.
 
-    ``object_home`` overrides the object placement (used by the exhaustive
-    search of Figure 9 with the "gdp" second-pass machinery).
+    The four schemes share one skeleton — RHOP, move insertion,
+    evaluation — and differ only in when objects get their homes: GDP
+    places them before RHOP; Profile Max and Naïve place them after a
+    RHOP pass that assumes unified memory (Profile Max greedily, then a
+    second RHOP locked to those homes; Naïve where each object is
+    accessed most, then a post-pass rebinding of memory operations);
+    Unified never places them.
 
-    With ``validate=True`` every phase output is checked against the
-    paper's invariants (see :mod:`repro.lint.partcheck`) and a
-    :class:`~repro.lint.PartitionValidityError` is raised at the first
-    phase whose output violates one.
-
-    ``seed_offset`` bumps the randomized partitioners' base seeds (the
-    resilient pipeline's retry-with-reseed knob); ``faults`` installs a
-    deterministic :class:`~repro.resilience.faults.FaultPlan` whose
-    clauses fire at this function's injection points.
+    ``object_home`` overrides GDP's placement (the exhaustive search of
+    Figure 9 and the placement ablations); other schemes ignore it.
+    ``faults`` installs a deterministic
+    :class:`~repro.resilience.faults.FaultPlan` whose clauses fire at
+    this function's injection points.
     """
-    if seed_offset:
-        gdp_config = (gdp_config or GDPConfig()).reseeded(seed_offset)
-        rhop_config = (rhop_config or RHOPConfig()).reseeded(seed_offset)
+    if scheme not in SCHEME_TABLE:
+        raise ValueError(f"unknown scheme {scheme!r} (see SCHEME_TABLE)")
     if faults is not None:
         machine = faults.machine_for(machine)
+
+    def inject(phase: str) -> None:
+        if faults is not None:
+            faults.maybe_raise(phase)
+
+    timer = PhaseTimer()
     if scheme == "gdp":
-        return run_gdp(
-            prepared, machine, gdp_config, rhop_config, object_home,
-            validate=validate, faults=faults,
-        )
-    if scheme == "profilemax":
-        return run_profile_max(
-            prepared, machine, rhop_config, pmax_imbalance, validate=validate,
-            faults=faults,
-        )
-    if scheme == "naive":
-        return run_naive(
-            prepared, machine, rhop_config, validate=validate, faults=faults
-        )
-    if scheme == "unified":
-        return run_unified(
-            prepared, machine, rhop_config, validate=validate, faults=faults
-        )
-    raise ValueError(f"unknown scheme {scheme!r} (see SCHEME_TABLE)")
+        if object_home is None:
+            inject("gdp")
+            with timer.phase("gdp"):
+                object_home = gdp_partition(
+                    prepared.module, prepared.objects, machine.num_clusters,
+                    block_freq=prepared.block_freq, config=gdp_config,
+                    merge=prepared.merge, program_graph=prepared.program_graph,
+                ).object_home
+    else:
+        object_home = None
+        if scheme != "profilemax":
+            inject(scheme)
+        module, uid_map = prepared.fresh_copy()
+        inject("rhop")
+        with timer.phase("rhop"):
+            result = RHOP(
+                machine.as_unified(), rhop_config, prepared.block_freq
+            ).partition_module(module)
+        if scheme != "unified":
+            if scheme == "profilemax":
+                inject("profilemax")
+            op_counts = prepared.translated_op_counts(uid_map)
+            with timer.phase("homes"):
+                object_home = (
+                    _greedy_profile_homes if scheme == "profilemax"
+                    else _max_access_homes
+                )(prepared, module, result.assignment, op_counts, machine)
 
-
-def _with_roofline(
-    prepared: PreparedProgram, outcome: SchemeOutcome
-) -> SchemeOutcome:
-    """Price the outcome's data movement against the program's I/O lower
-    bound (one memoized model per prepared program serves all schemes)."""
-    from ..evalmodel.roofline import roofline_for
-
-    outcome.roofline = roofline_for(prepared).report(outcome.dynamic_moves)
-    return outcome
-
-
-def _require_valid(report: DiagnosticReport, phase: str) -> None:
-    """Raise :class:`PartitionValidityError` if ``report`` holds errors."""
-    if report.has_errors:
-        raise PartitionValidityError(report, phase=phase)
-
-
-def _validate_computation(
-    prepared: PreparedProgram,
-    module: Module,
-    result: RHOPResult,
-    assignment: Dict[int, int],
-    object_home: Optional[Dict[str, int]],
-) -> None:
-    """Post-phase-2 hook: locks honoured and feasible for the machine."""
-    report = diagnose_lock_violations(result, module)
+    locked = scheme in ("gdp", "profilemax")
+    if locked:  # RHOP partitions a fresh clone with memory ops locked
+        module, _uid_map = prepared.fresh_copy()
     if object_home is not None:
-        report.extend(
-            check_memory_locks(
-                module, assignment, object_home,
-                prepared.object_access_counts(), phase=result.phase,
+        # Memory operations follow their object's home.  Post-lock
+        # corruption models phase-1 output poisoning: the homes the run
+        # records disagree with the locks honoured — exactly the
+        # cross-phase inconsistency the validity checker detects.
+        access = prepared.object_access_counts()
+        locks = memory_locks(module, object_home, access)
+        if faults is not None:
+            locks = faults.drop_locks(locks, scheme)
+            object_home = faults.corrupt_homes(
+                object_home, machine.num_clusters, scheme, accessed=access
             )
+    if locked:
+        inject("rhop")
+        with timer.phase("rhop"):
+            result = RHOP(
+                machine.as_partitioned(), rhop_config, prepared.block_freq
+            ).partition_module(module, mem_locks=locks)
+        assignment = result.assignment
+    else:
+        assignment = dict(result.assignment)
+        if scheme == "naive":  # post-pass: moves bridge the remote accesses
+            assignment.update(locks)
+
+    with timer.phase("finalize"):
+        eval_result = finalize_and_evaluate(
+            prepared, machine, module, assignment, result
         )
-    _require_valid(report, result.phase)
-
-
-def _validate_final(
-    machine: Machine, module: Module, assignment: Dict[int, int]
-) -> None:
-    """Post-move-insertion hook: cut edges bridged, schedule feasible."""
-    _require_valid(check_moves(module, assignment, machine), "moves")
-    _require_valid(check_schedule(module, assignment, machine), "schedule")
+    outcome = SchemeOutcome(
+        scheme, machine, module, assignment,
+        None if object_home is None else dict(object_home),
+        eval_result, timer.timings, SCHEME_TABLE[scheme]["rhop_runs"],
+    )
+    # Price the data movement against the program's I/O lower bound (one
+    # memoized model per prepared program serves all schemes).  Looked up
+    # through the module at call time, like every traced layer.
+    outcome.roofline = roofline.roofline_for(prepared).report(
+        outcome.dynamic_moves
+    )
+    return outcome
 
 
 def finalize_and_evaluate(
@@ -238,163 +246,25 @@ def finalize_and_evaluate(
     return evaluate_module(module, assignment, machine, prepared.block_freq)
 
 
-def run_unified(
-    prepared: PreparedProgram,
-    machine: Machine,
-    rhop_config: Optional[RHOPConfig] = None,
-    validate: bool = False,
-    faults: Optional[FaultPlan] = None,
-) -> SchemeOutcome:
-    """Upper bound: single multiported memory, plain RHOP."""
-    timer = PhaseTimer()
-    if faults is not None:
-        faults.maybe_raise("unified")
-    module, _uid_map = prepared.fresh_copy()
-    rhop = RHOP(machine.as_unified(), rhop_config, prepared.block_freq)
-    if faults is not None:
-        faults.maybe_raise("rhop")
-    with timer.phase("rhop"):
-        result = rhop.partition_module(module)
-    if validate:
-        _validate_computation(prepared, module, result, result.assignment, None)
-    with timer.phase("finalize"):
-        eval_result = finalize_and_evaluate(
-            prepared, machine, module, result.assignment, result
-        )
-    if validate:
-        _validate_final(machine, module, result.assignment)
-    return _with_roofline(prepared, SchemeOutcome(
-        "unified", machine, module, result.assignment, None, eval_result,
-        timer.timings, 1,
-    ))
-
-
-def run_gdp(
-    prepared: PreparedProgram,
-    machine: Machine,
-    gdp_config: Optional[GDPConfig] = None,
-    rhop_config: Optional[RHOPConfig] = None,
-    object_home: Optional[Dict[str, int]] = None,
-    validate: bool = False,
-    faults: Optional[FaultPlan] = None,
-) -> SchemeOutcome:
-    """The paper's method: global data partitioning, then locked RHOP."""
-    timer = PhaseTimer()
-    if object_home is None:
-        if faults is not None:
-            faults.maybe_raise("gdp")
-        with timer.phase("gdp"):
-            data_partition = gdp_partition(
-                prepared.module,
-                prepared.objects,
-                machine.num_clusters,
-                block_freq=prepared.block_freq,
-                config=gdp_config,
-                merge=prepared.merge,
-                program_graph=prepared.program_graph,
-            )
-        object_home = data_partition.object_home
-    if validate:
-        _require_valid(
-            check_data_partition(
-                prepared.objects, object_home, machine,
-                size_imbalance=(gdp_config or GDPConfig()).size_imbalance,
-                merge=prepared.merge, phase="gdp",
-            ),
-            "gdp",
-        )
-    module, _uid_map = prepared.fresh_copy()
-    locks = memory_locks(module, object_home, prepared.object_access_counts())
-    if faults is not None:
-        # Post-lock corruption models phase-1 output poisoning: the homes
-        # the run records disagree with the locks RHOP honoured — exactly
-        # the cross-phase inconsistency the validity checker detects.
-        locks = faults.drop_locks(locks, "gdp")
-        object_home = faults.corrupt_homes(
-            object_home, machine.num_clusters, "gdp",
-            accessed=prepared.object_access_counts(),
-        )
-        faults.maybe_raise("rhop")
-    rhop = RHOP(machine.as_partitioned(), rhop_config, prepared.block_freq)
-    with timer.phase("rhop"):
-        result = rhop.partition_module(module, mem_locks=locks)
-    if validate:
-        _validate_computation(
-            prepared, module, result, result.assignment, object_home
-        )
-    with timer.phase("finalize"):
-        eval_result = finalize_and_evaluate(
-            prepared, machine, module, result.assignment, result
-        )
-    if validate:
-        _validate_final(machine, module, result.assignment)
-    return _with_roofline(prepared, SchemeOutcome(
-        "gdp", machine, module, result.assignment, dict(object_home),
-        eval_result, timer.timings, 1,
-    ))
-
-
-def run_profile_max(
-    prepared: PreparedProgram,
-    machine: Machine,
-    rhop_config: Optional[RHOPConfig] = None,
-    imbalance: float = 1.15,
-    validate: bool = False,
-    faults: Optional[FaultPlan] = None,
-) -> SchemeOutcome:
-    """Profile Max: RHOP assuming unified memory, greedy object homing by
-    dynamic access frequency (with a memory-balance threshold), then a
-    second locked RHOP run."""
-    timer = PhaseTimer()
-    module, uid_map = prepared.fresh_copy()
-    rhop1 = RHOP(machine.as_unified(), rhop_config, prepared.block_freq)
-    if faults is not None:
-        faults.maybe_raise("rhop")
-    with timer.phase("rhop"):
-        first = rhop1.partition_module(module)
-
-    if faults is not None:
-        faults.maybe_raise("profilemax")
-    op_counts = prepared.translated_op_counts(uid_map)
-    with timer.phase("homes"):
-        object_home = _greedy_profile_homes(
-            prepared, module, first.assignment, op_counts, machine, imbalance
-        )
-    if validate:
-        _require_valid(
-            check_data_partition(
-                prepared.objects, object_home, machine,
-                size_imbalance=imbalance, merge=prepared.merge,
-                phase="profilemax",
-            ),
-            "profilemax",
-        )
-
-    module2, _ = prepared.fresh_copy()
-    locks = memory_locks(module2, object_home, prepared.object_access_counts())
-    if faults is not None:
-        locks = faults.drop_locks(locks, "profilemax")
-        object_home = faults.corrupt_homes(
-            object_home, machine.num_clusters, "profilemax",
-            accessed=prepared.object_access_counts(),
-        )
-    rhop2 = RHOP(machine.as_partitioned(), rhop_config, prepared.block_freq)
-    with timer.phase("rhop"):
-        second = rhop2.partition_module(module2, mem_locks=locks)
-    if validate:
-        _validate_computation(
-            prepared, module2, second, second.assignment, object_home
-        )
-    with timer.phase("finalize"):
-        eval_result = finalize_and_evaluate(
-            prepared, machine, module2, second.assignment, second
-        )
-    if validate:
-        _validate_final(machine, module2, second.assignment)
-    return _with_roofline(prepared, SchemeOutcome(
-        "profilemax", machine, module2, second.assignment, object_home,
-        eval_result, timer.timings, 2,
-    ))
+def _cluster_accesses(module: Module, assignment: Dict[int, int], op_counts,
+                      key) -> Dict:
+    """Dynamic accesses per ``key(object)`` per cluster under the first-pass
+    (unified) computation partition; objects keyed ``None`` are skipped."""
+    per_key: Dict = {}
+    for func in module:
+        for op in func.operations():
+            if not op.is_memory_access():
+                continue
+            counts = op_counts.get(op.uid)
+            cluster = assignment[op.uid]
+            for obj in op.mem_objects():
+                bucket = key(obj)
+                if bucket is None:
+                    continue
+                dyn = counts.get(obj, 0) if counts else 0
+                per = per_key.setdefault(bucket, {})
+                per[cluster] = per.get(cluster, 0.0) + dyn
+    return per_key
 
 
 def _greedy_profile_homes(
@@ -403,9 +273,9 @@ def _greedy_profile_homes(
     assignment: Dict[int, int],
     op_counts,
     machine: Machine,
-    imbalance: float,
 ) -> Dict[str, int]:
-    """Greedy object homing in dynamic-frequency order with a balance cap.
+    """Greedy object homing in dynamic-frequency order with a balance cap
+    (:data:`PROFILE_MAX_IMBALANCE`).
 
     Objects grouped exactly as GDP's coarsening grouped them (the paper:
     "The program-level graph of the application is created and coarsened
@@ -414,27 +284,15 @@ def _greedy_profile_homes(
     k = machine.num_clusters
     merge = prepared.merge
     groups = merge.object_groups()
-
-    # Dynamic accesses of each group per cluster, under the first-pass
-    # (unified) computation partition.
-    group_freq: Dict[int, Dict[int, float]] = {g.gid: {} for g in groups}
-    group_by_object = merge.group_of_object
-    for func in module:
-        for op in func.operations():
-            if not op.is_memory_access():
-                continue
-            counts = op_counts.get(op.uid)
-            cluster = assignment[op.uid]
-            for obj in op.mem_objects():
-                gid = group_by_object.get(obj)
-                if gid is None:
-                    continue
-                dyn = counts.get(obj, 0) if counts else 0
-                per = group_freq.setdefault(gid, {})
-                per[cluster] = per.get(cluster, 0.0) + dyn
+    group_freq = _cluster_accesses(
+        module, assignment, op_counts, merge.group_of_object.get
+    )
 
     total_bytes = float(prepared.objects.total_size())
-    cap = imbalance * total_bytes / k if total_bytes > 0 else float("inf")
+    cap = (
+        PROFILE_MAX_IMBALANCE * total_bytes / k
+        if total_bytes > 0 else float("inf")
+    )
     loads = [0.0] * k
     object_home: Dict[str, int] = {}
 
@@ -461,79 +319,21 @@ def _greedy_profile_homes(
     return object_home
 
 
-def run_naive(
+def _max_access_homes(
     prepared: PreparedProgram,
+    module: Module,
+    assignment: Dict[int, int],
+    op_counts,
     machine: Machine,
-    rhop_config: Optional[RHOPConfig] = None,
-    validate: bool = False,
-    faults: Optional[FaultPlan] = None,
-) -> SchemeOutcome:
-    """Naïve post-pass placement (Section 2 / Figure 2): partition assuming
-    unified memory, then home each object where it is accessed most and
-    patch remote accesses with intercluster transfers.  No balance, and
-    the computation partitioner never sees the data locations."""
-    timer = PhaseTimer()
-    if faults is not None:
-        faults.maybe_raise("naive")
-    module, uid_map = prepared.fresh_copy()
-    rhop = RHOP(machine.as_unified(), rhop_config, prepared.block_freq)
-    if faults is not None:
-        faults.maybe_raise("rhop")
-    with timer.phase("rhop"):
-        result = rhop.partition_module(module)
-    assignment = dict(result.assignment)
-
-    op_counts = prepared.translated_op_counts(uid_map)
+) -> Dict[str, int]:
+    """Naïve placement (Section 2 / Figure 2): home each object on the
+    cluster that accesses it most, with no balance."""
+    per_object = _cluster_accesses(module, assignment, op_counts, lambda o: o)
     k = machine.num_clusters
-    with timer.phase("homes"):
-        per_object: Dict[str, Dict[int, float]] = {}
-        for func in module:
-            for op in func.operations():
-                if not op.is_memory_access():
-                    continue
-                counts = op_counts.get(op.uid)
-                cluster = assignment[op.uid]
-                for obj in op.mem_objects():
-                    dyn = counts.get(obj, 0) if counts else 0
-                    per = per_object.setdefault(obj, {})
-                    per[cluster] = per.get(cluster, 0.0) + dyn
-
-        object_home: Dict[str, int] = {}
-        for obj in prepared.objects.ids():
-            per = per_object.get(obj, {})
-            object_home[obj] = (
-                max(range(k), key=lambda c: (per.get(c, 0.0), -c)) if per else 0
-            )
-
-        # Post-pass: rebind each memory operation to its object's cluster;
-        # the generic move inserter then materialises the transfers.
-        access_counts = prepared.object_access_counts()
-        rebinds = memory_locks(module, object_home, access_counts)
-        if faults is not None:
-            rebinds = faults.drop_locks(rebinds, "naive")
-        for uid, cluster in rebinds.items():
-            assignment[uid] = cluster
-        if faults is not None:
-            object_home = faults.corrupt_homes(
-                object_home, k, "naive", accessed=access_counts
-            )
-
-    if validate:
-        # Naïve has no balance contract: only coverage and lock honesty.
-        _require_valid(
-            check_data_partition(
-                prepared.objects, object_home, machine, phase="naive"
-            ),
-            "naive",
+    object_home: Dict[str, int] = {}
+    for obj in prepared.objects.ids():
+        per = per_object.get(obj, {})
+        object_home[obj] = (
+            max(range(k), key=lambda c: (per.get(c, 0.0), -c)) if per else 0
         )
-        _validate_computation(prepared, module, result, assignment, object_home)
-    with timer.phase("finalize"):
-        eval_result = finalize_and_evaluate(
-            prepared, machine, module, assignment, result
-        )
-    if validate:
-        _validate_final(machine, module, assignment)
-    return _with_roofline(prepared, SchemeOutcome(
-        "naive", machine, module, assignment, object_home, eval_result,
-        timer.timings, 1,
-    ))
+    return object_home

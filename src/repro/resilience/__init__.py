@@ -24,7 +24,6 @@ the scheme runners, which themselves use this package's clocks.
 from .budget import Budget, budget_expired
 from .errors import (
     InjectedFault,
-    InvalidPhaseOutput,
     LadderExhausted,
     PhaseError,
     ResilienceError,
@@ -39,7 +38,6 @@ __all__ = [
     "FaultClause",
     "FaultPlan",
     "InjectedFault",
-    "InvalidPhaseOutput",
     "LadderExhausted",
     "PhaseError",
     "PhaseTimer",

@@ -21,8 +21,7 @@ class Budget:
     """A cooperative wall-clock deadline.
 
     ``expired()`` is cheap and safe to call in inner loops.  The budget
-    starts ticking at construction; call :meth:`restart` to re-arm it
-    (e.g. when a budget built with a config is only used later).
+    starts ticking at construction.
     """
 
     def __init__(
@@ -36,19 +35,8 @@ class Budget:
         self._clock = clock
         self._start = clock()
 
-    def restart(self) -> "Budget":
-        """Re-arm the deadline from *now*; returns self for chaining."""
-        self._start = self._clock()
-        return self
-
     def elapsed(self) -> float:
         return self._clock() - self._start
-
-    def remaining(self) -> Optional[float]:
-        """Seconds left, or None when no wall-clock limit is set."""
-        if self.max_seconds is None:
-            return None
-        return max(0.0, self.max_seconds - self.elapsed())
 
     def expired(self) -> bool:
         if self.max_seconds is None:

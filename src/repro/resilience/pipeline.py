@@ -25,14 +25,15 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+from ..exec.runconfig import SCHEMES
 from ..machine import Machine
 from ..partition.gdp import GDPConfig
 from ..partition.rhop import RHOPConfig
 from .errors import LadderExhausted, as_phase_error
 from .report import RunReport
 
-#: The paper's quality ladder, best rung first (Table 1 order).
-LADDER = ("gdp", "profilemax", "naive", "unified")
+#: The paper's quality ladder, best rung first: Table 1 order.
+LADDER = SCHEMES
 
 #: Seed stride between retry attempts.  The multilevel partitioners run
 #: ``restarts`` internal cycles seeded ``seed + 0 .. seed + restarts-1``;
@@ -187,19 +188,15 @@ class ResilientPipeline:
                     break
                 if self.faults is not None:
                     self.faults.begin_attempt(rung, attempt)
-                seed_offset = config.seed + (attempt - 1) * RESEED_STRIDE
+                seed = config.seed + (attempt - 1) * RESEED_STRIDE
                 started = time.perf_counter()
                 try:
                     outcome = run_scheme(
                         prepared,
                         self.machine,
                         rung,
-                        gdp_config=GDPConfig().reseeded(
-                            seed_offset, budget=budget
-                        ),
-                        rhop_config=RHOPConfig().reseeded(
-                            seed_offset, budget=budget
-                        ),
+                        gdp_config=GDPConfig().reseeded(seed, budget=budget),
+                        rhop_config=RHOPConfig().reseeded(seed, budget=budget),
                         faults=self.faults,
                     )
                 except Exception as exc:  # noqa: BLE001 - the whole point

@@ -39,12 +39,6 @@ class PhaseTimer:
             elapsed = self._clock() - start
             self.timings[name] = self.timings.get(name, 0.0) + elapsed
 
-    def add(self, name: str, seconds: float) -> None:
-        self.timings[name] = self.timings.get(name, 0.0) + seconds
-
-    def total(self) -> float:
-        return sum(self.timings.values())
-
 
 def outcome_state_from_final(final: Optional[Dict[str, Any]]) -> str:
     """Map a ``final`` event (live or deserialised from a report dict) to
@@ -144,18 +138,12 @@ class RunReport:
         serialisation unscrubbed."""
         self._event("roofline", scheme=scheme, stats=dict(stats))
 
-    def roofline_events(self) -> List[Dict[str, Any]]:
-        return [e for e in self.events if e["kind"] == "roofline"]
-
     def record_cache(self, kind: str, status: str, detail: str = "") -> None:
         """Record an artifact-cache consultation (``kind`` is ``prepared``
         or ``outcome``; ``status`` is ``hit`` / ``miss`` / ``stale``).
         Carries no wall clocks, so it is stable under deterministic
         serialisation."""
         self._event("cache", cache=kind, status=status, detail=detail)
-
-    def cache_events(self) -> List[Dict[str, Any]]:
-        return [e for e in self.events if e["kind"] == "cache"]
 
     def record_final(self, requested: str, scheme: Optional[str], status: str) -> None:
         self._event(

@@ -23,7 +23,6 @@ from repro.lint import (
     Diagnostic,
     DiagnosticReport,
     PASS_REGISTRY,
-    PartitionValidityError,
     LintPass,
     LintRunner,
     Severity,
@@ -203,14 +202,6 @@ class TestDiagnostics:
         b.error("e", "y", func="g")
         b.warning("w", "x", func="f")
         assert a.to_json() == b.to_json()
-
-    def test_partition_validity_error_message(self):
-        report = DiagnosticReport()
-        report.error("object-home-range", "object g:a homed on cluster 99")
-        exc = PartitionValidityError(report, phase="gdp")
-        assert "after phase 'gdp'" in str(exc)
-        assert "object-home-range" in str(exc)
-        assert exc.report is report
 
 
 # -- runner / registry ---------------------------------------------------------------
@@ -639,27 +630,20 @@ class TestPipelineValidation:
             assert not outcome.fell_back
 
     def test_mutated_gdp_home_rejected_by_validation(self, prepared):
-        pipe = Pipeline()
-        good = pipe.run(prepared, "gdp").object_home
-        bad = dict(good)
-        bad[sorted(bad)[0]] = 99
-        with pytest.raises(PartitionValidityError) as exc:
-            run_scheme(
-                prepared, pipe.machine, "gdp", object_home=bad, validate=True
-            )
-        assert exc.value.phase == "gdp"
-        assert exc.value.report.by_rule("object-home-range")
+        outcome = run_scheme(prepared, two_cluster_machine(), "gdp")
+        outcome.object_home[sorted(outcome.object_home)[0]] = 99
+        found = check_scheme_outcome(prepared, outcome).by_rule(
+            "object-home-range"
+        )
+        assert found and all(d.phase == "gdp" for d in found)
 
     def test_missing_home_rejected_by_validation(self, prepared):
-        pipe = Pipeline()
-        good = pipe.run(prepared, "gdp").object_home
-        bad = dict(good)
-        bad.pop(sorted(bad)[0])
-        with pytest.raises(PartitionValidityError) as exc:
-            run_scheme(
-                prepared, pipe.machine, "gdp", object_home=bad, validate=True
-            )
-        assert exc.value.report.by_rule("object-home-missing")
+        outcome = run_scheme(prepared, two_cluster_machine(), "gdp")
+        outcome.object_home.pop(sorted(outcome.object_home)[0])
+        found = check_scheme_outcome(prepared, outcome).by_rule(
+            "object-home-missing"
+        )
+        assert found and all(d.phase == "gdp" for d in found)
 
     def test_post_hoc_mutated_home_caught_by_lock_check(self, prepared):
         outcome = Pipeline().run(prepared, "gdp")
