@@ -30,6 +30,10 @@
 #               (429 + Retry-After absorbed by client backoff).
 #   perfbench   the repo benchmark's own tests, incl. that the tracer
 #               still finds every layer function it wraps.
+#   rhop        RHOP differential golden: every bench x scheme on the
+#               2-cluster machine at move latency 1/5/10 and on the
+#               4-cluster and heterogeneous machines at latency 5 must
+#               reproduce tests/goldens/rhop_assignments.json exactly.
 #
 # Usage: scripts/check.sh [stage ...]   (from the repository root)
 #        no arguments runs every stage in order.
@@ -39,7 +43,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 
-STAGES="tools examples benches faults ptdiff staticdiff regioncheck cache service chaos perfbench"
+STAGES="tools examples benches faults ptdiff staticdiff regioncheck cache service chaos perfbench rhop"
 failures=0
 
 note() { printf '== %s\n' "$*"; }
@@ -441,6 +445,11 @@ PY
 stage_perfbench() {
     note "repo benchmark tests (workloads, metrics, tracer coverage)"
     python -m pytest perfbench -q || failures=$((failures + 1))
+}
+
+stage_rhop() {
+    note "RHOP differential golden (full bench x scheme x machine matrix)"
+    python scripts/rhop_golden.py --check || failures=$((failures + 1))
 }
 
 # -- dispatch -----------------------------------------------------------------

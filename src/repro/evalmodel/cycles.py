@@ -62,9 +62,9 @@ def evaluate_module(
             sched = scheduler.schedule_block(block, assignment)
             freq = block_freq(func.name, block.name)
             result.blocks[(func.name, block.name)] = BlockStats(
-                sched.length, freq, sched.move_count
+                sched.length, freq, sched.moves
             )
             result.cycles += sched.length * freq
-            result.dynamic_moves += sched.move_count * freq
-            result.static_moves += sched.move_count
+            result.dynamic_moves += sched.moves * freq
+            result.static_moves += sched.moves
     return result

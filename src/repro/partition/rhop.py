@@ -42,7 +42,7 @@ from ..ir import Function, Module, Operation
 from ..machine import Machine
 from ..resilience.budget import budget_expired
 from ..schedule.depgraph import DependenceGraph
-from .estimator import Anchor, INFEASIBLE, ScheduleEstimator
+from .estimator import Anchor, ScheduleEstimator
 from .merges import UnionFind
 
 
@@ -61,7 +61,6 @@ class RHOPConfig:
         refine_passes: int = 3,
         coarsen_to_per_cluster: int = 2,
         seed: int = 777,
-        cut_tiebreak: bool = True,
         restarts: int = 2,
         global_passes: int = 2,
         budget=None,
@@ -69,7 +68,6 @@ class RHOPConfig:
         self.refine_passes = refine_passes
         self.coarsen_to_per_cluster = coarsen_to_per_cluster
         self.seed = seed
-        self.cut_tiebreak = cut_tiebreak
         self.restarts = max(1, restarts)
         self.global_passes = max(1, global_passes)
         self.budget = budget
@@ -82,7 +80,6 @@ class RHOPConfig:
             refine_passes=self.refine_passes,
             coarsen_to_per_cluster=self.coarsen_to_per_cluster,
             seed=self.seed + offset,
-            cut_tiebreak=self.cut_tiebreak,
             restarts=self.restarts,
             global_passes=self.global_passes,
             budget=budget if budget is not None else self.budget,
@@ -184,6 +181,10 @@ class RHOP:
         # revisit every region with complete placement knowledge, breaking
         # the first pass's greedy phase-ordering cascades.
         pending_uses: Dict[int, Dict[int, float]] = {}
+        # One compiled estimator and slack-weighted flow list per block,
+        # built from one dependence graph and reused by every global pass
+        # (each pass only re-attaches the anchors).
+        kernels: Dict[str, Tuple[ScheduleEstimator, List[Tuple[int, int, int]]]] = {}
         for gpass in range(self.config.global_passes):
             if gpass > 0:
                 if budget_expired(self.config.budget):
@@ -194,7 +195,8 @@ class RHOP:
                 block = func.blocks[name]
                 if block.ops:
                     self._partition_block(
-                        func, block, homes, mem_locks, result, rng, pending_uses
+                        func, block, homes, mem_locks, result, rng, pending_uses,
+                        kernels,
                     )
         return result
 
@@ -227,14 +229,10 @@ class RHOP:
     # -- per-block multilevel partitioning -----------------------------------------------
 
     def _partition_block(
-        self, func, block, homes, mem_locks, result, rng, pending_uses=None
+        self, func, block, homes, mem_locks, result, rng, pending_uses, kernels
     ) -> None:
-        k = self.machine.num_clusters
-        graph = DependenceGraph(block, self.machine.latency_of)
-        uids = [op.uid for op in graph.ops]
-        pending_uses = pending_uses if pending_uses is not None else {}
-
-        if k == 1:
+        uids = [op.uid for op in block.ops]
+        if self.machine.num_clusters == 1:
             for uid in uids:
                 result.assignment[uid] = 0
             self._record_homes(func, block, homes, result)
@@ -243,12 +241,21 @@ class RHOP:
         locks = self._block_locks(block, homes, mem_locks)
         anchors = self._block_anchors(func, block, homes)
         anchors.extend(self._reverse_anchors(block, homes, pending_uses))
-        estimator = ScheduleEstimator(graph, self.machine, anchors)
-
-        base_groups = self._mandatory_groups(block, locks)
+        kernel = kernels.get(block.name)
+        if kernel is None:
+            graph = DependenceGraph(block, self.machine.latency_of)
+            kernel = kernels[block.name] = (
+                ScheduleEstimator(graph, self.machine, anchors),
+                self._slack_flows(graph),
+            )
+        else:
+            kernel[0].attach(anchors)
+        estimator, flows = kernel
+        # Coarsening draws no random numbers, so every restart shares it.
+        levels = self._coarsen(flows, self._mandatory_groups(block, locks), locks)
 
         # Multi-start V-cycles: the estimate surface is full of plateaus,
-        # so keep the best of a few randomised coarsen/place/refine runs.
+        # so keep the best of a few randomised place/refine runs.
         best_cluster_of: Dict[int, int] = {}
         best_key = None
         for attempt in range(self.config.restarts):
@@ -256,12 +263,9 @@ class RHOP:
                 break  # anytime: keep the best completed cycle
             attempt_rng = random.Random(rng.randrange(1 << 30) + attempt)
             cluster_of = self._one_block_cycle(
-                graph, base_groups, locks, estimator, uids, attempt_rng
+                levels, locks, estimator, attempt_rng
             )
-            key = (
-                estimator.estimate(cluster_of, exposed=True),
-                estimator.move_count(cluster_of),
-            )
+            key = estimator.estimate(cluster_of, exposed=True)
             if best_key is None or key < best_key:
                 best_key = key
                 best_cluster_of = cluster_of
@@ -270,12 +274,9 @@ class RHOP:
             result.assignment[uid] = best_cluster_of[uid]
         self._record_homes(func, block, homes, result)
         self._record_pending_uses(block, best_cluster_of, pending_uses)
+        estimator.release()  # the kernel outlives the block's search state
 
-    def _one_block_cycle(
-        self, graph, base_groups, locks, estimator, uids, rng
-    ) -> Dict[int, int]:
-        levels = self._coarsen(graph, base_groups, locks, rng)
-
+    def _one_block_cycle(self, levels, locks, estimator, rng) -> Dict[int, int]:
         # Initial assignment on the coarsest level.
         coarsest = levels[-1]
         cluster_of: Dict[int, int] = {}
@@ -284,15 +285,20 @@ class RHOP:
         order.sort(
             key=lambda g: 0 if self._group_lock(coarsest[g], locks) is not None else 1
         )
+        # Locked placements bypass the estimator, so the next estimate
+        # evaluates the whole partial assignment rather than a trial.
+        fresh = True
         for gid in order:
             members = coarsest[gid]
             lock = self._group_lock(members, locks)
             if lock is not None:
                 choice = lock
+                fresh = True
             else:
                 choice = self._best_cluster_for(
-                    members, cluster_of, estimator, uids, rng
+                    members, cluster_of, estimator, rng, fresh
                 )
+                fresh = False
             for uid in members:
                 cluster_of[uid] = choice
 
@@ -412,20 +418,24 @@ class RHOP:
 
     # -- coarsening ----------------------------------------------------------------------
 
+    @staticmethod
+    def _slack_flows(graph: DependenceGraph) -> List[Tuple[int, int, int]]:
+        """``(src, dst, slack)`` of every flow edge: all that coarsening
+        reads of a block's dependence graph."""
+        return [(e.src, e.dst, graph.slack(e)) for e in graph.flow_edges()]
+
     def _coarsen(
         self,
-        graph: DependenceGraph,
+        flows: List[Tuple[int, int, int]],
         base_groups: Dict[int, Set[int]],
         locks: Dict[int, int],
-        rng: random.Random,
     ) -> List[Dict[int, Set[int]]]:
-        """Multilevel coarsening; returns [finest, ..., coarsest] levels."""
+        """Multilevel coarsening over :meth:`_slack_flows`; returns
+        [finest, ..., coarsest] levels."""
         k = self.machine.num_clusters
         target = max(self.config.coarsen_to_per_cluster * k, 4)
 
-        max_slack = 0
-        for edge in graph.flow_edges():
-            max_slack = max(max_slack, graph.slack(edge))
+        max_slack = max([0] + [slack for _src, _dst, slack in flows])
 
         # Group-level adjacency from slack-weighted flow edges.
         group_of: Dict[int, int] = {}
@@ -433,11 +443,11 @@ class RHOP:
             for uid in members:
                 group_of[uid] = gid
         adj: Dict[Tuple[int, int], float] = {}
-        for edge in graph.flow_edges():
-            gs, gd = group_of[edge.src], group_of[edge.dst]
+        for src, dst, slack in flows:
+            gs, gd = group_of[src], group_of[dst]
             if gs == gd:
                 continue
-            weight = max_slack - graph.slack(edge) + 1
+            weight = max_slack - slack + 1
             key = (min(gs, gd), max(gs, gd))
             adj[key] = adj.get(key, 0.0) + weight
 
@@ -489,22 +499,23 @@ class RHOP:
         members: Set[int],
         cluster_of: Dict[int, int],
         estimator: ScheduleEstimator,
-        all_uids: List[int],
         rng: random.Random,
+        fresh: bool,
     ) -> int:
         """Greedy initial choice: the cluster minimising the (partial)
-        schedule estimate over the groups placed so far."""
+        schedule estimate over the groups placed so far.  ``members`` are
+        left on the last candidate; the caller stores the choice."""
         k = self.machine.num_clusters
-        trial = dict(cluster_of)
         best, best_key = 0, None
         order = list(range(k))
         rng.shuffle(order)
         for c in order:
             for uid in members:
-                trial[uid] = c
+                cluster_of[uid] = c
             # Estimate first; break plateau ties by communication (cut +
             # anchor moves) so placement follows affinity, not cluster ids.
-            key = (estimator.estimate(trial), estimator.move_count(trial))
+            key = estimator.estimate(cluster_of, moved=None if fresh else members)
+            fresh = False
             if best_key is None or key < best_key:
                 best, best_key = c, key
         return best
@@ -527,7 +538,6 @@ class RHOP:
             if budget_expired(self.config.budget):
                 break
             current = estimator.estimate(cluster_of)
-            current_moves = estimator.move_count(cluster_of)
             improved = False
             rng.shuffle(movable)
             for gid in movable:
@@ -535,19 +545,13 @@ class RHOP:
                     break  # estimator calls dominate; stop mid-pass too
                 members = level_groups[gid]
                 src = cluster_of[next(iter(members))]
-                best_dst, best_key = None, (current, current_moves)
+                best_dst, best_key = None, current
                 for dst in range(k):
                     if dst == src:
                         continue
                     for uid in members:
                         cluster_of[uid] = dst
-                    est = estimator.estimate(cluster_of)
-                    moves = (
-                        estimator.move_count(cluster_of)
-                        if self.config.cut_tiebreak
-                        else 0
-                    )
-                    key = (est, moves)
+                    key = estimator.estimate(cluster_of, moved=members)
                     if key < best_key:
                         best_key = key
                         best_dst = dst
@@ -556,7 +560,7 @@ class RHOP:
                 if best_dst is not None:
                     for uid in members:
                         cluster_of[uid] = best_dst
-                    current, current_moves = best_key
+                    current = best_key
                     improved = True
             if not improved:
                 break

@@ -27,12 +27,12 @@ class ScheduleResult:
         block: BasicBlock,
         issue_cycle: Dict[int, int],
         length: int,
-        move_count: int,
+        moves: int,
     ):
         self.block = block
         self.issue_cycle = issue_cycle  # op uid -> cycle
         self.length = length  # cycles until all results complete
-        self.move_count = move_count  # ICMOVE ops in the block
+        self.moves = moves  # ICMOVE ops in the block
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<schedule {self.block.name}: {self.length} cycles>"
@@ -75,7 +75,7 @@ class ListScheduler:
         bus_used: Dict[int, int] = {}
         bandwidth = machine.network.bandwidth
 
-        move_count = 0
+        moves = 0
         scheduled = 0
         total = len(graph.ops)
         cycle = 0
@@ -101,7 +101,7 @@ class ListScheduler:
                     issue[uid] = cycle
                     scheduled += 1
                     if op.opcode is Opcode.ICMOVE:
-                        move_count += 1
+                        moves += 1
                     completion = cycle + machine.latency_of(op)
                     max_completion = max(max_completion, completion)
                     for edge in graph.succs[uid]:
@@ -126,7 +126,7 @@ class ListScheduler:
 
         # A block takes at least one cycle per issued terminator.
         length = max(max_completion, 1)
-        return ScheduleResult(block, issue, length, move_count)
+        return ScheduleResult(block, issue, length, moves)
 
     def _reserve(
         self,

@@ -274,7 +274,7 @@ class TestListScheduler:
         moves = [op for op in block.ops if op.is_icmove()]
         cycles = sorted(sched.issue_cycle[m.uid] for m in moves)
         assert len(set(cycles)) == 3
-        assert sched.move_count == 3
+        assert sched.moves == 3
 
     def test_icmove_latency_respected(self):
         machine = two_cluster_machine(move_latency=10)
